@@ -49,6 +49,12 @@ def strength_value(z0: WellStrength | float) -> float:
     return WellStrength(float(z0)).z0
 
 
+def _as_strength(z0: WellStrength | float) -> WellStrength:
+    # validate a float once where it enters; pass the object down so that
+    # the per-band residuals do not validate it again
+    return z0 if isinstance(z0, WellStrength) else WellStrength(float(z0))
+
+
 @dataclass(frozen=True)
 class BoundState:
     """A single bound state: interval index m, root z, decay constant z_tilde.

@@ -18,7 +18,7 @@ from typing import Any
 
 from .dimensionless import WellStrength, cot, strength_value
 from .errors import DomainError
-from .variants import VariantKind
+from .variants import _G, VariantKind
 
 SCHEMA_VERSION = "1"
 
@@ -169,13 +169,6 @@ class CurveKind(enum.Enum):
 # the exact left-hand-side curve, under its conventional name
 EXACT_CIRCLE = CurveKind.CIRCLE
 
-_VARIANT_TO_CURVE = {
-    VariantKind.SIN: CurveKind.SIN,
-    VariantKind.ABS_SIN: CurveKind.ABS_SIN,
-    VariantKind.NEG_SIN: CurveKind.NEG_SIN,
-    VariantKind.CORRECT: CurveKind.CORRECT,
-}
-
 
 def curve_value(kind: CurveKind, z: float, z0: WellStrength | float) -> float:
     """Height of the named curve at z, for z in [0, z0]."""
@@ -186,16 +179,7 @@ def curve_value(kind: CurveKind, z: float, z0: WellStrength | float) -> float:
         return math.sqrt((v - z) * (v + z))
     if kind is CurveKind.COT:
         return -z * cot(z)
-    if kind is CurveKind.SIN:
-        return v * math.sin(z)
-    if kind is CurveKind.ABS_SIN:
-        return v * abs(math.sin(z))
-    if kind is CurveKind.NEG_SIN:
-        return -v * math.sin(z)
-    c = math.cos(z)
-    if c == 0.0:
-        raise DomainError(f"curve undefined at cos(z) = 0: z={z!r}")
-    return -v * math.sin(z) * c / abs(c)
+    return v * _G[VariantKind(kind.value)](z)
 
 
 def emit_curves(
@@ -212,8 +196,7 @@ def emit_curves(
     included.
     """
     v = strength_value(z0)
-    if isinstance(kind, VariantKind):
-        kind = _VARIANT_TO_CURVE[kind]
+    kind = CurveKind(kind.value)
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
     points: list[tuple[float, float]] = []

@@ -15,8 +15,9 @@ Each root is found by Newton's method on the smooth per-band surrogate
 f(z) = z + (-1)^m z0 sin(z), started from the band midpoint and kept
 honest by a shrinking sign-change bracket: any step that leaves the
 bracket, or lands where |f'| is negligible, is replaced by a bisection
-step.  Every routine here is a pure function, so solves for different
-bands or depths can run concurrently without shared state.
+step.  The same loop refines the crossings in :mod:`semiwell.variants`.
+Every routine here is a pure function, so solves for different bands or
+depths can run concurrently without shared state.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from .dimensionless import (
     BoundState,
     WellStrength,
+    _as_strength,
     energy_ratio,
     residual_interval,
     residual_interval_derivative,
@@ -111,15 +113,82 @@ def bracket_for(m: int, z0: WellStrength | float) -> tuple[float, float]:
     Raises DomainError when m exceeds the state count for this z0, since
     the band then holds no root to bracket.
     """
-    v = strength_value(z0)
+    w = _as_strength(z0)
     if m < 1:
         raise DomainError(f"interval index must be >= 1, got {m}")
-    n = count_bound_states(v)
+    n = count_bound_states(w)
     if m > n:
         raise DomainError(
-            f"band m={m} holds no root: z0={v!r} supports {n} bound state(s)"
+            f"band m={m} holds no root: z0={w.z0!r} supports {n} bound state(s)"
         )
     return ((2 * m - 1) * _HALF_PI, m * math.pi)
+
+
+def _newton(
+    m: int,
+    w: WellStrength,
+    lo: float,
+    hi: float,
+    z: float,
+    rising: bool,
+    config: SolveConfig,
+) -> tuple[float, list[float], int]:
+    """Root of f(z) = z + (-1)^m z0 sin(z) on [lo, hi], started from z.
+
+    f changes sign once on the bracket: upwards when ``rising``, else
+    downwards.  The bracket shrinks around the root by the sign of f; a
+    candidate step outside the open bracket, or taken where |f'| < 1e-14,
+    is discarded for the bracket midpoint.  Terminates when the step size
+    drops below config.root_tol (or a few ulps of z if that is larger),
+    then certifies |f(z)|.  Returns the root, the iterates and the number
+    of replaced steps.
+    """
+    v = w.z0
+    iterates = [z]
+    fallbacks = 0
+    for _ in range(config.max_newton_iters):
+        fz = residual_interval(z, m, w)
+        if fz == 0.0:
+            break
+        if (fz < 0.0) == rising:
+            lo = z
+        else:
+            hi = z
+        dfz = residual_interval_derivative(z, m, w)
+        if abs(dfz) < _DERIVATIVE_FLOOR:
+            candidate = 0.5 * (lo + hi)
+            fallbacks += 1
+        else:
+            candidate = z - fz / dfz
+            if candidate == z:
+                # correction below float resolution: z is the root
+                break
+            if not lo < candidate < hi:
+                candidate = 0.5 * (lo + hi)
+                fallbacks += 1
+        iterates.append(candidate)
+        step = abs(candidate - z)
+        z = candidate
+        if step < max(config.root_tol, 4.0 * math.ulp(z)):
+            break
+    else:
+        raise ConvergenceError(
+            f"no convergence after {config.max_newton_iters} iterations "
+            f"for m={m}, z0={v!r}"
+        )
+    # residual_tol is the floor; a deliberately loose root_tol widens the
+    # double-check so a coarse solve is not rejected as a failure.  Neither
+    # can ask for less than float64 reaches: the float nearest the root
+    # leaves |f'| ulp(z), and evaluating z + z0 sin z adds a few ulp more.
+    residual_cap = max(config.residual_tol, 10.0 * config.root_tol * max(1.0, v))
+    rounding = abs(residual_interval_derivative(z, m, w)) * math.ulp(z)
+    rounding += 4.0 * math.ulp(max(z, v))
+    if abs(residual_interval(z, m, w)) > residual_cap + rounding:
+        raise ConvergenceError(
+            f"step size converged but |f(z)| exceeds tolerance "
+            f"for m={m}, z0={v!r}, z={z!r}"
+        )
+    return z, iterates, fallbacks
 
 
 def newton_solve(
@@ -129,66 +198,20 @@ def newton_solve(
 ) -> tuple[BoundState, NewtonTrace]:
     """Solve for the m-th root of a well of strength z0.
 
-    Newton's method on f(z) = z + (-1)^m z0 sin(z) from the band midpoint
-    (4m - 1) pi / 4.  The bracket shrinks around the root using the sign
-    of f (f' > 0 throughout the band, so f is negative left of the root
-    and positive right of it); a candidate step outside the open bracket,
-    or taken where |f'| < 1e-14, is discarded for the bracket midpoint.
-    Terminates when the step size drops below config.root_tol (or a few
-    ulps of z if that is larger), then double-checks the residual.
+    Safeguarded Newton on f(z) = z + (-1)^m z0 sin(z), rising across the
+    band bracket of :func:`bracket_for`, from its midpoint (4m - 1) pi / 4.
+    The root is accepted when |f(z)| is within config.residual_tol or,
+    where float64 cannot reach that, within the rounding floor of f.
     """
-    v = strength_value(z0)
-    lo, hi = bracket_for(m, v)
-    z = (4 * m - 1) * math.pi / 4.0
-    iterates = [z]
-    fallbacks = 0
-    converged = False
-
-    for _ in range(config.max_newton_iters):
-        fz = residual_interval(z, m, v)
-        if fz == 0.0:
-            converged = True
-            break
-        if fz < 0.0:
-            lo = z
-        else:
-            hi = z
-        dfz = residual_interval_derivative(z, m, v)
-        if abs(dfz) < _DERIVATIVE_FLOOR:
-            candidate = 0.5 * (lo + hi)
-            fallbacks += 1
-        else:
-            candidate = z - fz / dfz
-            if candidate == z:
-                # correction below float resolution: z is the root
-                converged = True
-                break
-            if not lo < candidate < hi:
-                candidate = 0.5 * (lo + hi)
-                fallbacks += 1
-        iterates.append(candidate)
-        step = abs(candidate - z)
-        z = candidate
-        if step < max(config.root_tol, 4.0 * math.ulp(z)):
-            converged = True
-            break
-
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence after {config.max_newton_iters} iterations "
-            f"for m={m}, z0={v!r}"
-        )
-    # residual_tol is the floor; a deliberately loose root_tol widens the
-    # double-check so a coarse solve is not rejected as a failure
-    residual_cap = max(config.residual_tol, 10.0 * config.root_tol * max(1.0, v))
-    if abs(residual_interval(z, m, v)) > residual_cap:
-        raise ConvergenceError(
-            f"step size converged but |f(z)| exceeds tolerance "
-            f"for m={m}, z0={v!r}, z={z!r}"
-        )
+    w = _as_strength(z0)
+    lo, hi = bracket_for(m, w)
+    z, iterates, fallbacks = _newton(
+        m, w, lo, hi, (4 * m - 1) * math.pi / 4.0, True, config
+    )
 
     # Just above a degenerate threshold the true root is closer to z0 than
     # one ulp; pin it inside (0, z0) so the decay constant stays positive.
+    v = w.z0
     if z >= v:
         z = math.nextafter(v, 0.0)
     z_tilde = math.sqrt((v - z) * (v + z))
@@ -196,11 +219,11 @@ def newton_solve(
         m=m,
         z=z,
         z_tilde=z_tilde,
-        energy_ratio=energy_ratio(z, v),
+        energy_ratio=energy_ratio(z, w),
     )
     return state, NewtonTrace(
         iterates=tuple(iterates),
-        converged=converged,
+        converged=True,
         fallback_bisections=fallbacks,
     )
 
@@ -214,8 +237,8 @@ def solve_all(
     One Newton solve per band; the per-band brackets are disjoint, so the
     returned roots are strictly increasing by construction.
     """
-    v = strength_value(z0)
+    w = _as_strength(z0)
     return [
-        newton_solve(m, v, config)[0]
-        for m in range(1, count_bound_states(v) + 1)
+        newton_solve(m, w, config)[0]
+        for m in range(1, count_bound_states(w) + 1)
     ]

@@ -16,6 +16,17 @@ crossings solve the rewritten equation but not the original one, and
 ``spurious`` marks them.  Filtering them out recovers the true roots for
 SIN-type errors only when no genuine root is also lost, which is what
 :func:`filtered_equivalence` checks.
+
+The crossings are counted exactly, cell by cell.  On each half-pi cell
+[k pi/2, (k + 1) pi/2] every g above is either +|sin z| or -|sin z|.
+Where it is -|sin z| the line cannot meet the curve.  Where it is
++|sin z| the residual z - z0 |sin z| is the solver's own
+f(z) = z + (-1)^m z0 sin(z) with m = k // 2 + 1, and it is convex on the
+cell.  On odd k, where |sin z| falls, f rises and has at most one root.
+On even k, where |sin z| rises, f has one minimum, at
+k pi/2 + arccos(1/z0) when z0 > 1, and at most one root on either side
+of it.  The signs of f at the ends of these monotone pieces give the
+count, and the Newton loop of :mod:`semiwell.solver` refines each root.
 """
 
 from __future__ import annotations
@@ -23,12 +34,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
-from .dimensionless import WellStrength, cot, strength_value
+from .dimensionless import (
+    WellStrength,
+    _as_strength,
+    cot,
+    residual_interval,
+    strength_value,
+)
 from .errors import DomainError
-from .solver import SolveConfig, solve_all
+from .solver import SolveConfig, _newton, solve_all
 
-_PROBES_PER_CELL = 64
 _HALF_PI = math.pi / 2.0
 
 
@@ -39,19 +56,14 @@ class VariantKind(enum.Enum):
     CORRECT = "correct"
 
 
-def _g(kind: VariantKind, z: float) -> float:
-    if kind is VariantKind.SIN:
-        return math.sin(z)
-    if kind is VariantKind.ABS_SIN:
-        return abs(math.sin(z))
-    if kind is VariantKind.NEG_SIN:
-        return -math.sin(z)
-    c = math.cos(z)
-    if c == 0.0:
-        raise DomainError(
-            f"correct-form right-hand side undefined at cos(z) = 0: z={z!r}"
-        )
-    return -math.sin(z) * c / abs(c)
+# the right-hand sides g(z) of the rewritings z = z0 g(z); the curves of
+# semiwell.output are drawn from this table too
+_G = {
+    VariantKind.SIN: math.sin,
+    VariantKind.ABS_SIN: lambda z: abs(math.sin(z)),
+    VariantKind.NEG_SIN: lambda z: -math.sin(z),
+    VariantKind.CORRECT: lambda z: -math.sin(z) * math.copysign(1.0, math.cos(z)),
+}
 
 
 def variant_residual(kind: VariantKind, z: float, z0: WellStrength | float) -> float:
@@ -59,7 +71,7 @@ def variant_residual(kind: VariantKind, z: float, z0: WellStrength | float) -> f
     v = strength_value(z0)
     if not z > 0.0:
         raise DomainError(f"z must be positive, got {z!r}")
-    return z - v * _g(kind, z)
+    return z - v * _G[kind](z)
 
 
 @dataclass(frozen=True)
@@ -95,20 +107,27 @@ class VariantReport:
         return [i.z for i in self.intersections if not i.spurious]
 
 
-def _bisect(kind: VariantKind, v: float, lo: float, hi: float) -> float:
-    # f changes sign on [lo, hi]; plain bisection, ~50 halvings to float limits
-    flo = variant_residual(kind, lo, v)
-    tol = 1e-13 * max(1.0, hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = variant_residual(kind, mid, v)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _cell_crossings(k: int, w: WellStrength, config: SolveConfig) -> Iterator[float]:
+    # roots of f(z) = z - z0 |sin z| on (k pi/2, (k + 1) pi/2), in increasing z
+    m = k // 2 + 1
+    v = w.z0
+    a = k * _HALF_PI
+    b = (k + 1) * _HALF_PI
+    if k % 2:
+        pieces = [(a, b, True)]
+    else:
+        # f falls to its minimum at c, where z0 |cos z| = 1; for z0 <= 1
+        # it only rises, so the falling piece is empty
+        c = a + math.acos(min(1.0, 1.0 / v))
+        pieces = [(a, c, False), (c, b, True)]
+    for lo, hi, rising in pieces:
+        f_lo = residual_interval(lo, m, w)
+        f_hi = residual_interval(hi, m, w)
+        if (f_lo < 0.0 < f_hi) if rising else (f_lo > 0.0 > f_hi):
+            # started where f > 0, Newton on a convex f never overshoots
+            z, _, _ = _newton(m, w, lo, hi, hi if rising else lo, rising, config)
+            # f > 0 beyond z0, so only rounding can put the root there
+            yield min(z, v)
 
 
 def enumerate_intersections(
@@ -116,43 +135,23 @@ def enumerate_intersections(
 ) -> VariantReport:
     """All crossings of y = z with y = z0 g(z) on (0, z0], in increasing z.
 
-    The axis is cut into cells on which g is single-signed and monotone
-    enough to probe: width pi for SIN and NEG_SIN, pi/2 for ABS_SIN and
-    CORRECT.  Each cell is scanned at 64 interior points and every sign
-    change of z - z0 g(z) is refined by bisection.  A crossing is spurious
-    when cot(z) > 0 there, i.e. when it fails the original equation.
-    Crossings can only occur for z <= z0 since |g| <= 1.
+    Crossings can only occur for z <= z0 since |g| <= 1.  Each half-pi
+    cell below z0 on which g = +|sin z| holds at most two; the signs of
+    z - z0 |sin z| at the ends of the cell's monotone pieces count them
+    exactly, and the solver's Newton loop refines each (see the module
+    docstring).  At a threshold z0 = k pi/2 the grazing crossing z = z0
+    is not reported.  A crossing is spurious when cot(z) > 0 there, i.e.
+    when it fails the original equation.
     """
-    v = strength_value(z0)
-    cell = math.pi if kind in (VariantKind.SIN, VariantKind.NEG_SIN) else _HALF_PI
+    w = _as_strength(z0)
+    config = SolveConfig()
     found: list[Intersection] = []
-    j = 0
-    while j * cell < v:
-        lo = j * cell
-        hi = min((j + 1) * cell, v)
-        j += 1
-        # nudge off the cell edges: g may be non-smooth or z may be 0 there
-        pad = 1e-9 * cell
-        a = lo + pad
-        b = hi - pad
-        if not a < b:
-            continue
-        step = (b - a) / _PROBES_PER_CELL
-        prev_t = a
-        prev_f = variant_residual(kind, a, v)
-        for i in range(1, _PROBES_PER_CELL + 1):
-            t = a + i * step
-            f = variant_residual(kind, t, v)
-            root: float | None = None
-            if f == 0.0:
-                root = t
-            elif prev_f == 0.0:
-                pass  # already recorded at the previous probe
-            elif (prev_f < 0.0) != (f < 0.0):
-                root = _bisect(kind, v, prev_t, t)
-            if root is not None:
-                found.append(Intersection(z=root, spurious=cot(root) > 0.0))
-            prev_t, prev_f = t, f
+    k = 0
+    while k * _HALF_PI < w.z0:
+        if _G[kind]((k + 0.5) * _HALF_PI) > 0.0:
+            for z in _cell_crossings(k, w, config):
+                found.append(Intersection(z=z, spurious=cot(z) > 0.0))
+        k += 1
     return VariantReport(kind=kind, intersections=tuple(found))
 
 
@@ -168,9 +167,9 @@ def filtered_equivalence(
     either by keeping no crossing where a genuine root exists (NEG_SIN
     loses entire bands) or by disagreeing in value.
     """
-    v = strength_value(z0)
-    kept = enumerate_intersections(kind, v).genuine_roots()
-    true_roots = [s.z for s in solve_all(v, config)]
+    w = _as_strength(z0)
+    kept = enumerate_intersections(kind, w).genuine_roots()
+    true_roots = [s.z for s in solve_all(w, config)]
     if len(kept) != len(true_roots):
         return False
     tol = max(config.root_tol, 1e-9)

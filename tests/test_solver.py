@@ -244,6 +244,17 @@ def test_spectrum_invariants_hold_across_strengths(z0):
         assert math.isclose(state.energy_ratio, (state.z / z0) ** 2, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("m,z0", [(41_749, 2e5), (200_001, 1e6)])
+def test_deep_roots_are_certified_at_the_rounding_floor(m, z0):
+    # |f'| ~ z0 here, so even the float nearest the root leaves |f| of
+    # about z0 ulp(z), 6e-6 and 1e-4, far above residual_tol
+    state, trace = newton_solve(m, z0)
+    assert trace.converged
+    step = 2.0 * math.ulp(state.z)
+    assert residual_interval(state.z - step, m, z0) < 0.0
+    assert residual_interval(state.z + step, m, z0) > 0.0
+
+
 def test_deep_well_approaches_infinite_well_levels():
     # at z0 = 1e4 the low roots sit just below m pi, within m pi / z0 of it
     for m in range(1, 11):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiwell import (
     DomainError,
@@ -19,6 +21,14 @@ from semiwell import (
 
 EXACT_Z = 3.0 * math.pi / 4.0
 EXACT_Z0 = math.sqrt(2.0) * EXACT_Z
+
+# 1e-4 above the SIN tangency z0* = sqrt(1 + z*^2), tan z* = z* in
+# (2 pi, 5 pi / 2): a pair of crossings about 0.01 apart
+SIN_TANGENT_Z0 = 7.789805767492725
+
+# just above the thresholds k pi / 2, where the top root sits within
+# about 1e-9 of z0
+NEAR_THRESHOLD = [k * math.pi / 2 + d for k in (3, 5, 7, 21) for d in (1e-9, 1e-7)]
 
 
 def test_variant_residual_reference_points():
@@ -51,6 +61,8 @@ def test_variant_residual_rejects_nonpositive_z():
         (VariantKind.ABS_SIN, 25.0, 15, [2, 4, 6, 8, 10, 12, 14]),
         (VariantKind.NEG_SIN, 15.0, 4, [1, 3]),
         (VariantKind.NEG_SIN, 25.0, 8, [1, 3, 5, 7]),
+        (VariantKind.SIN, SIN_TANGENT_Z0, 3, [2, 3]),
+        (VariantKind.ABS_SIN, SIN_TANGENT_Z0, 5, [2, 4, 5]),
     ],
 )
 def test_flawed_forms_cross_in_the_wrong_places(kind, z0, total, spurious_positions):
@@ -69,7 +81,7 @@ def test_sin_form_keeps_too_few_crossings(z0, valid, total):
     assert valid < count_bound_states(z0)
 
 
-@pytest.mark.parametrize("z0", [5.0, 15.0, 25.0, 40.0])
+@pytest.mark.parametrize("z0", [5.0, 15.0, 25.0, 40.0] + NEAR_THRESHOLD)
 def test_correct_form_has_no_spurious_crossings(z0):
     report = enumerate_intersections(VariantKind.CORRECT, z0)
     assert report.n_spurious == 0
@@ -103,7 +115,7 @@ def test_correct_form_in_a_stateless_well_finds_nothing():
     assert report.n_total == 0
 
 
-@pytest.mark.parametrize("z0", [5.0, 15.0, 25.0, 40.0])
+@pytest.mark.parametrize("z0", [5.0, 15.0, 25.0, 40.0] + NEAR_THRESHOLD)
 @pytest.mark.parametrize("kind", [VariantKind.ABS_SIN, VariantKind.CORRECT])
 def test_filtering_recovers_spectrum_for_sign_safe_forms(kind, z0):
     assert filtered_equivalence(kind, z0)
@@ -116,7 +128,9 @@ def test_filtering_cannot_rescue_the_wrong_branch():
     assert not filtered_equivalence(VariantKind.SIN, 15.0)
 
 
-@pytest.mark.parametrize("z0", [2.0, 3.3, 7.7, 10.0, 13.1, 18.6, 25.0, 33.3, 40.0])
+@pytest.mark.parametrize(
+    "z0", [2.0, 3.3, 7.7, 10.0, 13.1, 18.6, 25.0, 33.3, 40.0] + NEAR_THRESHOLD
+)
 def test_kept_crossings_track_solver_roots(z0):
     true_roots = [s.z for s in solve_all(z0)]
     for kind in (VariantKind.ABS_SIN, VariantKind.CORRECT):
@@ -124,3 +138,20 @@ def test_kept_crossings_track_solver_roots(z0):
         assert len(kept) == len(true_roots)
         for a, b in zip(kept, true_roots):
             assert abs(a - b) <= 1e-9
+
+
+@given(z0=st.floats(min_value=0.05, max_value=2000.0, exclude_min=True))
+@settings(max_examples=60, deadline=None)
+def test_crossings_split_cleanly_across_forms(z0):
+    # g = |sin z| agrees with sin z or with -sin z on every cell, and its
+    # genuine crossings are exactly those of the correct form
+    abs_sin = enumerate_intersections(VariantKind.ABS_SIN, z0)
+    union = [
+        i.z
+        for kind in (VariantKind.SIN, VariantKind.NEG_SIN)
+        for i in enumerate_intersections(kind, z0).intersections
+    ]
+    assert [i.z for i in abs_sin.intersections] == sorted(union)
+    correct = enumerate_intersections(VariantKind.CORRECT, z0)
+    assert [i.z for i in correct.intersections] == abs_sin.genuine_roots()
+    assert correct.n_total == count_bound_states(z0)
