@@ -39,8 +39,8 @@ from .units import (
 from .variants import VariantKind, enumerate_intersections
 from .wavefunction import build_wavefunction, evaluate, probability_inside
 
-# refuse to enumerate absurdly deep spectra interactively; state counting
-# still works at any depth
+# refuse to enumerate absurdly deep spectra or their variant crossings
+# interactively; state counting still works at any depth
 _MAX_ENUMERATED_STATES = 100_000
 
 
@@ -162,15 +162,21 @@ def _solver_config(args: argparse.Namespace) -> SolveConfig:
     return SolveConfig(root_tol=args.tol, max_newton_iters=args.max_iter)
 
 
-def _solve_payload(
-    strength: WellStrength, config: SolveConfig
-) -> tuple[dict[str, Any], dict[str, Any]]:
+def _enumerable_count(strength: WellStrength) -> int:
+    """Number of bound states, refused above the enumeration cap."""
     n = count_bound_states(strength)
     if n > _MAX_ENUMERATED_STATES:
         raise DomainError(
             f"well holds {n} states, above the enumeration cap "
             f"({_MAX_ENUMERATED_STATES}); use the count command"
         )
+    return n
+
+
+def _solve_payload(
+    strength: WellStrength, config: SolveConfig
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    n = _enumerable_count(strength)
     roots = []
     iters_total = 0
     bisections_total = 0
@@ -278,6 +284,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
         strength, _, inputs = _resolve_well(parser, args)
         kind = VariantKind(args.kind)
         inputs["kind"] = kind.value
+        _enumerable_count(strength)
         report = enumerate_intersections(kind, strength)
         return OutputDocument(
             command="variants",

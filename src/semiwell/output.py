@@ -47,10 +47,17 @@ class OutputDocument:
 
 
 def format_float(x: float) -> str:
-    """Decimal text with 17 significant digits; round-trips exactly."""
+    """Decimal text with 17 significant digits; round-trips exactly.
+
+    Whole values keep a trailing ".0" (2.0, not 2), so JSON readers see a
+    float wherever the schema has one.
+    """
     if not math.isfinite(x):
         raise ValueError(f"non-finite value has no serialized form: {x!r}")
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    if "." in text or "e" in text:
+        return text
+    return text + ".0"
 
 
 def _write_json(value: Any, out: list[str]) -> None:

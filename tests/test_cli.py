@@ -6,9 +6,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semiwell
 from semiwell import format_float
 from semiwell.cli import run
 
@@ -137,6 +142,13 @@ def test_curves_command(capsys):
     assert pts[-1] == {"z": 15.0, "value": 0.0}
 
 
+def test_whole_floats_keep_their_decimal_point(capsys):
+    code, out, _ = invoke(capsys, "curves", "--z0", "2", "--kind", "sin", "--samples", "3")
+    assert code == 0
+    assert '"inputs": {"z0": 2.0, ' in out
+    assert '"points": [{"z": 0.0, "value": 0.0}, ' in out
+
+
 def test_curves_cot_drops_pole_points(capsys):
     code, out, _ = invoke(capsys, "curves", "--kind", "cot", "--z0", "15", "--samples", "1001")
     assert code == 0
@@ -184,6 +196,32 @@ def test_domain_errors_exit_1(capsys):
     assert invoke(capsys, "count", "--mass", "-1", "--width", "1", "--depth", "1")[0] == 1
     assert invoke(capsys, "wavefn", "--z0", "15", "--state", "0")[0] == 1
     assert invoke(capsys, "wavefn", "--z0", "15", "--state", "1", "--samples", "1")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", "--z0", "1e6"), ("variants", "--kind", "abs-sin", "--z0", "1e9")],
+)
+def test_deep_enumeration_is_refused_before_it_starts(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "above the enumeration cap (100000)" in err
+
+
+def test_import_loads_only_the_standard_library():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import semiwell\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(semiwell.__file__).parents[1]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    top_level = {name.partition(".")[0] for name in loaded}
+    assert top_level - set(sys.stdlib_module_names) == {"semiwell"}
 
 
 def test_output_goes_to_file(tmp_path, capsys):

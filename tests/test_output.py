@@ -44,8 +44,11 @@ def sample_doc() -> OutputDocument:
 
 
 def test_format_float_round_trips():
-    for x in [0.1, 2.9440408044848854, 1e-300, -3.5, 1234567890.123456, 5e-324]:
+    for x in [0.1, 2.9440408044848854, 1e-300, -3.5, 1234567890.123456, 5e-324, 2.0, -0.0]:
         assert float(format_float(x)) == x
+    # whole floats keep their decimal point, so JSON readers see floats
+    assert format_float(2.0) == "2.0"
+    assert format_float(-0.0) == "-0.0"
     with pytest.raises(ValueError):
         format_float(math.inf)
     with pytest.raises(ValueError):

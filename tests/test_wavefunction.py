@@ -15,8 +15,10 @@ from semiwell import (
     BoundState,
     DomainError,
     build_wavefunction,
+    count_bound_states,
     evaluate,
     exact_solution,
+    newton_solve,
     probability_inside,
     quadrature_norm_check,
     solve_all,
@@ -111,6 +113,17 @@ def test_quadrature_norm_of_family_members(n):
     state, z0 = family_state(n)
     spec = build_wavefunction(state, z0, a=1.0)
     assert abs(quadrature_norm_check(spec) - 1.0) < 1e-8
+
+
+def test_quadrature_norm_of_deep_states():
+    # thousands of oscillations inside the well: the first, middle and top
+    # of the 3,183 states at z0 = 1e4 still integrate to 1 at float64 level
+    z0 = 1e4
+    n = count_bound_states(z0)
+    for m in (1, (n + 1) // 2, n):
+        state, _ = newton_solve(m, z0)
+        spec = build_wavefunction(state, z0, a=1.0)
+        assert abs(quadrature_norm_check(spec) - 1.0) < 1e-12
 
 
 def test_quadrature_scales_with_squared_amplitude():
