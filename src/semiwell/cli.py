@@ -28,7 +28,7 @@ from .dimensionless import WellStrength, residual_exact
 from .errors import ConvergenceError, DomainError
 from .exact import exact_solution
 from .output import CurveKind, OutputDocument, emit_curves, serialize
-from .solver import SolveConfig, count_bound_states, newton_solve
+from .solver import SolveConfig, _solve_band, count_bound_states, newton_solve
 from .units import (
     ELECTRON_MASS_SI,
     EV_SI,
@@ -182,7 +182,8 @@ def _solve_payload(
     bisections_total = 0
     max_residual = 0.0
     for m in range(1, n + 1):
-        state, trace = newton_solve(m, strength, config)
+        # n is the count, so every band 1..n holds a root: no per-band recount
+        state, trace = _solve_band(m, strength.z0, config)
         res = residual_exact(state.z, strength)
         max_residual = max(max_residual, abs(res))
         iters = len(trace.iterates) - 1

@@ -36,17 +36,21 @@ class WellStrength:
     z0: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.z0) or self.z0 <= 0.0:
-            raise DomainError(
-                f"well strength must be finite and positive, got {self.z0!r}"
-            )
+        _check_strength(self.z0)
+
+
+def _check_strength(v: float) -> None:
+    if not math.isfinite(v) or v <= 0.0:
+        raise DomainError(f"well strength must be finite and positive, got {v!r}")
 
 
 def strength_value(z0: WellStrength | float) -> float:
     """Validated float value of a well strength passed either way."""
     if isinstance(z0, WellStrength):
         return z0.z0
-    return WellStrength(float(z0)).z0
+    v = float(z0)
+    _check_strength(v)
+    return v
 
 
 def _as_strength(z0: WellStrength | float) -> WellStrength:

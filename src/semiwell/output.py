@@ -5,6 +5,11 @@ offers no control over float formatting; every float is written with 17
 significant digits so the decimal text round-trips to the same binary
 value, and JSON and CSV renderings of one document agree digit for
 digit.  Serialization is deterministic: same document, same bytes.
+
+The plot-ready curves come from one table, ``_curve``, which gives each
+curve as a function of z for a validated z0; :func:`curve_value` checks its
+inputs and reads one value from it, and :func:`emit_curves` checks z0 once
+and evaluates the one chosen function over the whole grid.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import enum
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .dimensionless import WellStrength, cot, strength_value
 from .errors import DomainError
@@ -177,16 +182,22 @@ class CurveKind(enum.Enum):
 EXACT_CIRCLE = CurveKind.CIRCLE
 
 
+def _curve(kind: CurveKind, v: float) -> Callable[[float], float]:
+    # the named curve as a function of z, for an already validated z0 = v
+    if kind is CurveKind.CIRCLE:
+        return lambda z: math.sqrt((v - z) * (v + z))
+    if kind is CurveKind.COT:
+        return lambda z: -z * cot(z)
+    g = _G[VariantKind(kind.value)]
+    return lambda z: v * g(z)
+
+
 def curve_value(kind: CurveKind, z: float, z0: WellStrength | float) -> float:
     """Height of the named curve at z, for z in [0, z0]."""
     v = strength_value(z0)
     if not 0.0 <= z <= v:
         raise DomainError(f"z must lie in [0, z0]: z={z!r}, z0={v!r}")
-    if kind is CurveKind.CIRCLE:
-        return math.sqrt((v - z) * (v + z))
-    if kind is CurveKind.COT:
-        return -z * cot(z)
-    return v * _G[VariantKind(kind.value)](z)
+    return _curve(kind, v)(z)
 
 
 def emit_curves(
@@ -206,10 +217,9 @@ def emit_curves(
     kind = CurveKind(kind.value)
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
-    points: list[tuple[float, float]] = []
-    for i in range(samples):
-        z = v * (i / (samples - 1))
-        if kind is CurveKind.COT and abs(math.sin(z)) < _POLE_BAND:
-            continue
-        points.append((z, curve_value(kind, z, v)))
-    return points
+    curve = _curve(kind, v)
+    # v * (i / (samples - 1)) never leaves [0, v], so no sample is range-checked
+    grid = [v * (i / (samples - 1)) for i in range(samples)]
+    if kind is CurveKind.COT:
+        grid = [z for z in grid if not abs(math.sin(z)) < _POLE_BAND]
+    return [(z, curve(z)) for z in grid]

@@ -18,6 +18,16 @@ bracket, or lands where |f'| is negligible, is replaced by a bisection
 step.  The same loop refines the crossings in :mod:`semiwell.variants`.
 Every routine here is a pure function, so solves for different bands or
 depths can run concurrently without shared state.
+
+Inputs are validated once per public call, where they enter; the loops
+below that run on the plain float z0.  The Newton loop evaluates
+f = z + s sin z and f' = 1 + s cos z inline, with s = (-1)^m z0 fixed per
+band, in the same operations and order as
+:func:`semiwell.dimensionless.residual_interval` and its derivative, so
+its iterates are those of the public residuals bit for bit.
+:func:`solve_all` counts the states once and solves every band through the
+same per-band solve as :func:`newton_solve`, which adds the band check of
+:func:`bracket_for`.
 """
 
 from __future__ import annotations
@@ -25,15 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dimensionless import (
-    BoundState,
-    WellStrength,
-    _as_strength,
-    energy_ratio,
-    residual_interval,
-    residual_interval_derivative,
-    strength_value,
-)
+from .dimensionless import BoundState, WellStrength, _as_strength, strength_value
 from .errors import ConvergenceError, DomainError
 
 _HALF_PI = math.pi / 2.0
@@ -65,10 +67,9 @@ class SolveConfig:
             raise DomainError(
                 f"residual_tol must be positive, got {self.residual_tol!r}"
             )
-        if self.max_newton_iters < 1:
-            raise DomainError(
-                f"max_newton_iters must be >= 1, got {self.max_newton_iters!r}"
-            )
+        n = self.max_newton_iters
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise DomainError(f"max_newton_iters must be an int >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -121,40 +122,48 @@ def bracket_for(m: int, z0: WellStrength | float) -> tuple[float, float]:
         raise DomainError(
             f"band m={m} holds no root: z0={w.z0!r} supports {n} bound state(s)"
         )
+    return _band(m)
+
+
+def _band(m: int) -> tuple[float, float]:
     return ((2 * m - 1) * _HALF_PI, m * math.pi)
 
 
 def _newton(
     m: int,
-    w: WellStrength,
+    v: float,
     lo: float,
     hi: float,
     z: float,
     rising: bool,
     config: SolveConfig,
 ) -> tuple[float, list[float], int]:
-    """Root of f(z) = z + (-1)^m z0 sin(z) on [lo, hi], started from z.
+    """Root of f(z) = z + (-1)^m v sin(z) on [lo, hi], started from z.
 
-    f changes sign once on the bracket: upwards when ``rising``, else
-    downwards.  The bracket shrinks around the root by the sign of f; a
-    candidate step outside the open bracket, or taken where |f'| < 1e-14,
-    is discarded for the bracket midpoint.  Terminates when the step size
-    drops below config.root_tol (or a few ulps of z if that is larger),
-    then certifies |f(z)|.  Returns the root, the iterates and the number
-    of replaced steps.
+    v is the already validated z0.  f changes sign once on the bracket:
+    upwards when ``rising``, else downwards.  The bracket shrinks around
+    the root by the sign of f; a candidate step outside the open bracket,
+    or taken where |f'| < 1e-14, is discarded for the bracket midpoint.
+    Terminates when the step size drops below config.root_tol (or a few
+    ulps of z if that is larger), then certifies |f(z)|.  Returns the
+    root, the iterates and the number of replaced steps.
     """
-    v = w.z0
+    # f and f' are residual_interval and its derivative, inline and with
+    # the same operations in the same order, so the iterates keep their bits
+    sv = -v if m % 2 else v
+    sin, cos, ulp = math.sin, math.cos, math.ulp
+    root_tol = config.root_tol
     iterates = [z]
     fallbacks = 0
     for _ in range(config.max_newton_iters):
-        fz = residual_interval(z, m, w)
+        fz = z + sv * sin(z)
         if fz == 0.0:
             break
         if (fz < 0.0) == rising:
             lo = z
         else:
             hi = z
-        dfz = residual_interval_derivative(z, m, w)
+        dfz = 1.0 + sv * cos(z)
         if abs(dfz) < _DERIVATIVE_FLOOR:
             candidate = 0.5 * (lo + hi)
             fallbacks += 1
@@ -169,7 +178,7 @@ def _newton(
         iterates.append(candidate)
         step = abs(candidate - z)
         z = candidate
-        if step < max(config.root_tol, 4.0 * math.ulp(z)):
+        if step < root_tol or step < 4.0 * ulp(z):
             break
     else:
         raise ConvergenceError(
@@ -180,15 +189,40 @@ def _newton(
     # double-check so a coarse solve is not rejected as a failure.  Neither
     # can ask for less than float64 reaches: the float nearest the root
     # leaves |f'| ulp(z), and evaluating z + z0 sin z adds a few ulp more.
-    residual_cap = max(config.residual_tol, 10.0 * config.root_tol * max(1.0, v))
-    rounding = abs(residual_interval_derivative(z, m, w)) * math.ulp(z)
-    rounding += 4.0 * math.ulp(max(z, v))
-    if abs(residual_interval(z, m, w)) > residual_cap + rounding:
+    residual_cap = max(config.residual_tol, 10.0 * root_tol * max(1.0, v))
+    rounding = abs(1.0 + sv * cos(z)) * ulp(z)
+    rounding += 4.0 * ulp(max(z, v))
+    if abs(z + sv * sin(z)) > residual_cap + rounding:
         raise ConvergenceError(
             f"step size converged but |f(z)| exceeds tolerance "
             f"for m={m}, z0={v!r}, z={z!r}"
         )
     return z, iterates, fallbacks
+
+
+def _solve_band(
+    m: int, v: float, config: SolveConfig
+) -> tuple[BoundState, NewtonTrace]:
+    # the m-th root of a well of validated strength v, which holds it
+    lo, hi = _band(m)
+    z, iterates, fallbacks = _newton(
+        m, v, lo, hi, (4 * m - 1) * math.pi / 4.0, True, config
+    )
+    # Just above a degenerate threshold the true root is closer to z0 than
+    # one ulp; pin it inside (0, z0) so the decay constant stays positive.
+    if z >= v:
+        z = math.nextafter(v, 0.0)
+    state = BoundState(
+        m=m,
+        z=z,
+        z_tilde=math.sqrt((v - z) * (v + z)),
+        energy_ratio=(z / v) ** 2,
+    )
+    return state, NewtonTrace(
+        iterates=tuple(iterates),
+        converged=True,
+        fallback_bisections=fallbacks,
+    )
 
 
 def newton_solve(
@@ -204,28 +238,8 @@ def newton_solve(
     where float64 cannot reach that, within the rounding floor of f.
     """
     w = _as_strength(z0)
-    lo, hi = bracket_for(m, w)
-    z, iterates, fallbacks = _newton(
-        m, w, lo, hi, (4 * m - 1) * math.pi / 4.0, True, config
-    )
-
-    # Just above a degenerate threshold the true root is closer to z0 than
-    # one ulp; pin it inside (0, z0) so the decay constant stays positive.
-    v = w.z0
-    if z >= v:
-        z = math.nextafter(v, 0.0)
-    z_tilde = math.sqrt((v - z) * (v + z))
-    state = BoundState(
-        m=m,
-        z=z,
-        z_tilde=z_tilde,
-        energy_ratio=energy_ratio(z, w),
-    )
-    return state, NewtonTrace(
-        iterates=tuple(iterates),
-        converged=True,
-        fallback_bisections=fallbacks,
-    )
+    bracket_for(m, w)
+    return _solve_band(m, w.z0, config)
 
 
 def solve_all(
@@ -237,8 +251,5 @@ def solve_all(
     One Newton solve per band; the per-band brackets are disjoint, so the
     returned roots are strictly increasing by construction.
     """
-    w = _as_strength(z0)
-    return [
-        newton_solve(m, w, config)[0]
-        for m in range(1, count_bound_states(w) + 1)
-    ]
+    v = strength_value(z0)
+    return [_solve_band(m, v, config)[0] for m in range(1, count_bound_states(v) + 1)]

@@ -40,7 +40,6 @@ from .dimensionless import (
     WellStrength,
     _as_strength,
     cot,
-    residual_interval,
     strength_value,
 )
 from .errors import DomainError
@@ -107,10 +106,11 @@ class VariantReport:
         return [i.z for i in self.intersections if not i.spurious]
 
 
-def _cell_crossings(k: int, w: WellStrength, config: SolveConfig) -> Iterator[float]:
-    # roots of f(z) = z - z0 |sin z| on (k pi/2, (k + 1) pi/2), in increasing z
+def _cell_crossings(k: int, v: float, config: SolveConfig) -> Iterator[float]:
+    # roots of f(z) = z - z0 |sin z| on (k pi/2, (k + 1) pi/2), in increasing z;
+    # f is residual_interval, inline as in the Newton loop
     m = k // 2 + 1
-    v = w.z0
+    sv = -v if m % 2 else v
     a = k * _HALF_PI
     b = (k + 1) * _HALF_PI
     if k % 2:
@@ -121,11 +121,11 @@ def _cell_crossings(k: int, w: WellStrength, config: SolveConfig) -> Iterator[fl
         c = a + math.acos(min(1.0, 1.0 / v))
         pieces = [(a, c, False), (c, b, True)]
     for lo, hi, rising in pieces:
-        f_lo = residual_interval(lo, m, w)
-        f_hi = residual_interval(hi, m, w)
+        f_lo = lo + sv * math.sin(lo)
+        f_hi = hi + sv * math.sin(hi)
         if (f_lo < 0.0 < f_hi) if rising else (f_lo > 0.0 > f_hi):
             # started where f > 0, Newton on a convex f never overshoots
-            z, _, _ = _newton(m, w, lo, hi, hi if rising else lo, rising, config)
+            z, _, _ = _newton(m, v, lo, hi, hi if rising else lo, rising, config)
             # f > 0 beyond z0, so only rounding can put the root there
             yield min(z, v)
 
@@ -143,13 +143,13 @@ def enumerate_intersections(
     is not reported.  A crossing is spurious when cot(z) > 0 there, i.e.
     when it fails the original equation.
     """
-    w = _as_strength(z0)
+    v = strength_value(z0)
     config = SolveConfig()
     found: list[Intersection] = []
     k = 0
-    while k * _HALF_PI < w.z0:
+    while k * _HALF_PI < v:
         if _G[kind]((k + 0.5) * _HALF_PI) > 0.0:
-            for z in _cell_crossings(k, w, config):
+            for z in _cell_crossings(k, v, config):
                 found.append(Intersection(z=z, spurious=cot(z) > 0.0))
         k += 1
     return VariantReport(kind=kind, intersections=tuple(found))

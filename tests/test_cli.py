@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -14,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import semiwell
+import semiwell.cli
+import semiwell.solver
 from semiwell import format_float
 from semiwell.cli import run
 
@@ -263,3 +266,46 @@ def test_loose_tolerance_still_solves(capsys):
     roots = json.loads(out)["results"]["roots"]
     for row, want in zip(roots, ROOTS_15_TABLE):
         assert row["z"] == pytest.approx(want, abs=1e-4)
+
+
+# SHA-256 of the stdout of fixed invocations: a change meant to keep the
+# output (a speed-up, a refactor) and that moves any byte of it fails here
+GOLDEN_STDOUT = {
+    "count --z0 15": "a1e958da1529bdcb2ec16c27b44b0b6c66584e7a7dbb3304233aef832d23b0a7",
+    "solve --z0 25": "5e28a2f70a9dd06249ed56f80b03b25642f048149e551c2d5b1caa2ccda30171",
+    "solve --z0 25 --format csv": "f8526ce69874663187f3b3b32fc821287b5423d919f046801540d1b7dabc1e4f",
+    "wavefn --z0 15 --state 2 --samples 500": "a9a245c6185a2dd61bf32ba30d64b35c17fe9ad6308ac477921e50939871cf05",
+    "variants --kind sin --z0 25": "ed937ddebf88cada142e1f76a9f3e8758d7d9e9cbabbcc60d21105ddc5d452e3",
+    "variants --kind abs-sin --z0 25": "159433cd4329108d4c244ea2c6d1ead22c7ca937e360b256ae53cc76cf81fae2",
+    "variants --kind neg-sin --z0 25": "144231947d23b146a9bf126b605f7df972d4119ab58b2eb1b22ad8a7c57c975b",
+    "variants --kind correct --z0 25": "a61caa3b4c73febbafc4a30fd01ad43eb6973812e7c274690da2abb3b5b7aa3c",
+    "curves --kind circle --z0 15": "1dd96ecb19a69b9c6bb7c9d2bc664417e86283bfece615524571f0e3d460c99f",
+    "curves --kind cot --z0 15": "50f49fb36d77677009284d677c38ed0c0ec9ec4f50241da681079b82a86f154d",
+    "curves --kind sin --z0 15": "9cf8492652df9fe522c1717136ff9e54de2f6c4b87854fec8cdcc3906197c3ef",
+    "curves --kind abs-sin --z0 15": "12c317db175c6e6517e3f8df650d700a5f974a6cf86c1cb6e957dbdd7156067e",
+    "curves --kind neg-sin --z0 15": "fcf0cda2370dbac3dc739a7fc6f1570259a8f4c52311ea8a4d5c9a9e2e131d19",
+    "curves --kind correct --z0 15": "ab22f54093da130c5c2a218672b7e93a90bb49ea2ae2a664074de7fab6c9640d",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+def test_stdout_matches_golden_digest(capsys, command):
+    code, out, err = invoke(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_solve_counts_the_states_once(capsys, monkeypatch):
+    calls = []
+    count = semiwell.solver.count_bound_states
+
+    def counting(z0):
+        calls.append(z0)
+        return count(z0)
+
+    monkeypatch.setattr(semiwell.cli, "count_bound_states", counting)
+    monkeypatch.setattr(semiwell.solver, "count_bound_states", counting)
+    code, out, _ = invoke(capsys, "solve", "--z0", "25")
+    assert code == 0
+    assert json.loads(out)["results"]["count"] == 8
+    assert len(calls) == 1

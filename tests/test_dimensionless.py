@@ -49,6 +49,14 @@ class TestWellStrength:
         with pytest.raises(DomainError):
             strength_value(-2.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_strength_value_rejects_like_the_constructor(self, bad):
+        with pytest.raises(DomainError) as from_float:
+            strength_value(bad)
+        with pytest.raises(DomainError) as from_object:
+            WellStrength(bad)
+        assert str(from_float.value) == str(from_object.value)
+
 
 class TestBoundState:
     def test_valid_state_constructs(self):

@@ -179,6 +179,23 @@ class TestCurves:
         with pytest.raises(DomainError):
             emit_curves(10.0, CurveKind.SIN, samples=1)
 
+    @pytest.mark.parametrize("z0", [15.0, 7.7898, 177.4971, 3 * math.pi])
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_emit_curves_is_curve_value_sample_by_sample(self, kind, z0):
+        # the grid loop of curve_value calls, bit for bit; at z0 = 3 pi the
+        # samples i = 333, 666 and 999 sit on the poles at pi, 2 pi and 3 pi,
+        # so cot drops them and the 0/0 at z = 0
+        want = []
+        for i in range(1000):
+            z = z0 * (i / 999)
+            if kind is CurveKind.COT and abs(math.sin(z)) < 1e-6:
+                continue
+            want.append((z, curve_value(kind, z, z0)))
+        got = emit_curves(z0, kind)
+        assert repr(got) == repr(want)
+        if kind is CurveKind.COT and z0 == 3 * math.pi:
+            assert len(got) == 996
+
     def test_curve_value_domain(self):
         with pytest.raises(DomainError):
             curve_value(CurveKind.CIRCLE, -0.5, 15.0)

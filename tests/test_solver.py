@@ -21,6 +21,7 @@ from semiwell import (
     newton_solve,
     residual_exact,
     residual_interval,
+    residual_interval_derivative,
     solve_all,
 )
 
@@ -126,6 +127,13 @@ def test_solve_config_validation():
         SolveConfig(residual_tol=-1e-9)
     with pytest.raises(DomainError):
         SolveConfig(max_newton_iters=0)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", True, False])
+def test_solve_config_rejects_non_integer_iteration_cap(bad):
+    # a float cap used to pass and then fail as a bare TypeError in range()
+    with pytest.raises(DomainError, match="max_newton_iters"):
+        SolveConfig(max_newton_iters=bad)
 
 
 class TestNewtonSolve:
@@ -261,3 +269,63 @@ def test_deep_well_approaches_infinite_well_levels():
         state, _ = newton_solve(m, 1e4)
         gap = m * math.pi - state.z
         assert 0.0 < gap < m * math.pi / 1e4
+
+
+def _replayed_iterates(m, z0, config=SolveConfig()):
+    # the documented safeguarded Newton loop, written out on the public
+    # residual_interval and its derivative: the reference for the solver's
+    # inline f and f'
+    lo, hi = bracket_for(m, z0)
+    z = (4 * m - 1) * math.pi / 4.0
+    iterates = [z]
+    for _ in range(config.max_newton_iters):
+        fz = residual_interval(z, m, z0)
+        if fz == 0.0:
+            break
+        if fz < 0.0:
+            lo = z
+        else:
+            hi = z
+        dfz = residual_interval_derivative(z, m, z0)
+        if abs(dfz) < 1e-14:
+            candidate = 0.5 * (lo + hi)
+        else:
+            candidate = z - fz / dfz
+            if candidate == z:
+                break
+            if not lo < candidate < hi:
+                candidate = 0.5 * (lo + hi)
+        iterates.append(candidate)
+        step = abs(candidate - z)
+        z = candidate
+        if step < max(config.root_tol, 4.0 * math.ulp(z)):
+            break
+    return iterates
+
+
+@pytest.mark.parametrize(
+    "z0,bands",
+    [
+        (15.0, range(1, 6)),
+        (25.0, range(1, 9)),
+        (21 * math.pi / 2 + 1e-7, range(1, 12)),  # m = 1 takes a bisection
+        (1e4, [1, 2, 3, 1591, 3183]),  # fallback bisections on the low bands
+        (2e5, [1, 679, 41_749, 63_662]),  # 679: one ulp of f/f' shows here
+    ],
+)
+def test_trace_iterates_are_those_of_residual_interval(z0, bands):
+    # every iterate of the trace, bit for bit, is what Newton on the public
+    # residual_interval takes; a reordered float operation in the solver
+    # moves some iterate by an ulp and fails this
+    for m in bands:
+        _, trace = newton_solve(m, z0)
+        assert [x.hex() for x in trace.iterates] == [
+            x.hex() for x in _replayed_iterates(m, z0)
+        ]
+
+
+@pytest.mark.parametrize("z0", [15.0, 25.0, 1e3, 1e4])
+def test_solve_all_is_newton_solve_band_by_band(z0):
+    states = solve_all(z0)
+    singles = [newton_solve(m, z0)[0] for m in range(1, count_bound_states(z0) + 1)]
+    assert repr(states) == repr(singles)
