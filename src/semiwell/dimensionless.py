@@ -53,10 +53,14 @@ def strength_value(z0: WellStrength | float) -> float:
     return v
 
 
-def _as_strength(z0: WellStrength | float) -> WellStrength:
-    # validate a float once where it enters; pass the object down so that
-    # the per-band residuals do not validate it again
-    return z0 if isinstance(z0, WellStrength) else WellStrength(float(z0))
+def _check_band(m: int) -> None:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise DomainError(f"interval index must be an int >= 1, got {m!r}")
+
+
+def _band_edges(m: int) -> tuple[float, float]:
+    # the m-th band ((2m - 1) pi / 2, m pi), the only place a root can sit
+    return ((2 * m - 1) * _HALF_PI, m * math.pi)
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,8 @@ class BoundState:
     energy_ratio: float
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DomainError(f"interval index must be >= 1, got {self.m}")
-        lo = (2 * self.m - 1) * _HALF_PI
-        hi = self.m * math.pi
+        _check_band(self.m)
+        lo, hi = _band_edges(self.m)
         if not lo < self.z < hi:
             raise DomainError(
                 f"z={self.z!r} outside interval ({lo!r}, {hi!r}) for m={self.m}"
@@ -118,8 +120,7 @@ def residual_interval(z: float, m: int, z0: WellStrength | float) -> float:
     with the zero of :func:`residual_exact`; f is negative at the left edge
     and positive at the right edge whenever the band holds a root.
     """
-    if m < 1:
-        raise DomainError(f"interval index must be >= 1, got {m}")
+    _check_band(m)
     v = strength_value(z0)
     sign = -1.0 if m % 2 else 1.0
     return z + sign * v * math.sin(z)
@@ -127,8 +128,7 @@ def residual_interval(z: float, m: int, z0: WellStrength | float) -> float:
 
 def residual_interval_derivative(z: float, m: int, z0: WellStrength | float) -> float:
     """d/dz of :func:`residual_interval`: 1 + (-1)^m z0 cos(z)."""
-    if m < 1:
-        raise DomainError(f"interval index must be >= 1, got {m}")
+    _check_band(m)
     v = strength_value(z0)
     sign = -1.0 if m % 2 else 1.0
     return 1.0 + sign * v * math.cos(z)

@@ -15,7 +15,8 @@ Each root is found by Newton's method on the smooth per-band surrogate
 f(z) = z + (-1)^m z0 sin(z), started from the band midpoint and kept
 honest by a shrinking sign-change bracket: any step that leaves the
 bracket, or lands where |f'| is negligible, is replaced by a bisection
-step.  The same loop refines the crossings in :mod:`semiwell.variants`.
+step.  The same band solve gives the crossings of :mod:`semiwell.variants`
+on the bands, and the loop refines their crossings between the bands.
 Every routine here is a pure function, so solves for different bands or
 depths can run concurrently without shared state.
 
@@ -35,10 +36,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dimensionless import BoundState, WellStrength, _as_strength, strength_value
+from .dimensionless import (
+    BoundState,
+    WellStrength,
+    _band_edges,
+    _check_band,
+    strength_value,
+)
 from .errors import ConvergenceError, DomainError
-
-_HALF_PI = math.pi / 2.0
 
 # relative snap width for the tangency thresholds 2 z0 / pi = 3, 5, 7, ...
 _THRESHOLD_SNAP = 1e-12
@@ -114,19 +119,14 @@ def bracket_for(m: int, z0: WellStrength | float) -> tuple[float, float]:
     Raises DomainError when m exceeds the state count for this z0, since
     the band then holds no root to bracket.
     """
-    w = _as_strength(z0)
-    if m < 1:
-        raise DomainError(f"interval index must be >= 1, got {m}")
-    n = count_bound_states(w)
+    v = strength_value(z0)
+    _check_band(m)
+    n = count_bound_states(v)
     if m > n:
         raise DomainError(
-            f"band m={m} holds no root: z0={w.z0!r} supports {n} bound state(s)"
+            f"band m={m} holds no root: z0={v!r} supports {n} bound state(s)"
         )
-    return _band(m)
-
-
-def _band(m: int) -> tuple[float, float]:
-    return ((2 * m - 1) * _HALF_PI, m * math.pi)
+    return _band_edges(m)
 
 
 def _newton(
@@ -200,11 +200,9 @@ def _newton(
     return z, iterates, fallbacks
 
 
-def _solve_band(
-    m: int, v: float, config: SolveConfig
-) -> tuple[BoundState, NewtonTrace]:
-    # the m-th root of a well of validated strength v, which holds it
-    lo, hi = _band(m)
+def _band_root(m: int, v: float, config: SolveConfig) -> tuple[float, list[float], int]:
+    # the root in band m of a well of validated strength v that reaches it
+    lo, hi = _band_edges(m)
     z, iterates, fallbacks = _newton(
         m, v, lo, hi, (4 * m - 1) * math.pi / 4.0, True, config
     )
@@ -212,6 +210,14 @@ def _solve_band(
     # one ulp; pin it inside (0, z0) so the decay constant stays positive.
     if z >= v:
         z = math.nextafter(v, 0.0)
+    return z, iterates, fallbacks
+
+
+def _solve_band(
+    m: int, v: float, config: SolveConfig
+) -> tuple[BoundState, NewtonTrace]:
+    # the m-th bound state of a well of validated strength v, which holds it
+    z, iterates, fallbacks = _band_root(m, v, config)
     state = BoundState(
         m=m,
         z=z,
@@ -237,9 +243,9 @@ def newton_solve(
     The root is accepted when |f(z)| is within config.residual_tol or,
     where float64 cannot reach that, within the rounding floor of f.
     """
-    w = _as_strength(z0)
-    bracket_for(m, w)
-    return _solve_band(m, w.z0, config)
+    v = strength_value(z0)
+    bracket_for(m, v)
+    return _solve_band(m, v, config)
 
 
 def solve_all(

@@ -22,11 +22,13 @@ The crossings are counted exactly, cell by cell.  On each half-pi cell
 Where it is -|sin z| the line cannot meet the curve.  Where it is
 +|sin z| the residual z - z0 |sin z| is the solver's own
 f(z) = z + (-1)^m z0 sin(z) with m = k // 2 + 1, and it is convex on the
-cell.  On odd k, where |sin z| falls, f rises and has at most one root.
-On even k, where |sin z| rises, f has one minimum, at
-k pi/2 + arccos(1/z0) when z0 > 1, and at most one root on either side
-of it.  The signs of f at the ends of these monotone pieces give the
-count, and the Newton loop of :mod:`semiwell.solver` refines each root.
+cell.  The odd cells k = 2m - 1 are the bands: f rises there and has at
+most one root, the spectrum's, taken from the solver's band solve.  The
+even cells lie between the bands, where cot(z) > 0, and hold the spurious
+crossings: f has one minimum, at k pi/2 + arccos(1/z0) when z0 > 1, and at
+most one root on either side of it, refined by the solver's Newton loop.
+The signs of f at the ends of these monotone pieces give the count, and
+the parity of the cell is the ``spurious`` flag.
 """
 
 from __future__ import annotations
@@ -36,16 +38,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .dimensionless import (
-    WellStrength,
-    _as_strength,
-    cot,
-    strength_value,
-)
+from .dimensionless import _HALF_PI, WellStrength, _band_edges, strength_value
 from .errors import DomainError
-from .solver import SolveConfig, _newton, solve_all
-
-_HALF_PI = math.pi / 2.0
+from .solver import SolveConfig, _band_root, _newton, count_bound_states
 
 
 class VariantKind(enum.Enum):
@@ -112,15 +107,16 @@ def _cell_crossings(k: int, v: float, config: SolveConfig) -> Iterator[float]:
     m = k // 2 + 1
     sv = -v if m % 2 else v
     a = k * _HALF_PI
-    b = (k + 1) * _HALF_PI
     if k % 2:
-        pieces = [(a, b, True)]
-    else:
-        # f falls to its minimum at c, where z0 |cos z| = 1; for z0 <= 1
-        # it only rises, so the falling piece is empty
-        c = a + math.acos(min(1.0, 1.0 / v))
-        pieces = [(a, c, False), (c, b, True)]
-    for lo, hi, rising in pieces:
+        # band m, where f rises from its left edge: the root is the spectrum's
+        if a + sv * math.sin(a) < 0.0:
+            yield _band_root(m, v, config)[0]
+        return
+    b = (k + 1) * _HALF_PI
+    # f falls to its minimum at c, where z0 |cos z| = 1; for z0 <= 1 it
+    # only rises, so the falling piece is empty
+    c = a + math.acos(min(1.0, 1.0 / v))
+    for lo, hi, rising in ((a, c, False), (c, b, True)):
         f_lo = lo + sv * math.sin(lo)
         f_hi = hi + sv * math.sin(hi)
         if (f_lo < 0.0 < f_hi) if rising else (f_lo > 0.0 > f_hi):
@@ -138,10 +134,10 @@ def enumerate_intersections(
     Crossings can only occur for z <= z0 since |g| <= 1.  Each half-pi
     cell below z0 on which g = +|sin z| holds at most two; the signs of
     z - z0 |sin z| at the ends of the cell's monotone pieces count them
-    exactly, and the solver's Newton loop refines each (see the module
-    docstring).  At a threshold z0 = k pi/2 the grazing crossing z = z0
-    is not reported.  A crossing is spurious when cot(z) > 0 there, i.e.
-    when it fails the original equation.
+    exactly, and a crossing on a band is the band solve's root (see the
+    module docstring).  At a threshold z0 = k pi/2 the grazing crossing
+    z = z0 is not reported.  A crossing between the bands, where
+    cot(z) > 0 and the original equation fails, is spurious.
     """
     v = strength_value(z0)
     config = SolveConfig()
@@ -149,28 +145,25 @@ def enumerate_intersections(
     k = 0
     while k * _HALF_PI < v:
         if _G[kind]((k + 0.5) * _HALF_PI) > 0.0:
+            spurious = k % 2 == 0
             for z in _cell_crossings(k, v, config):
-                found.append(Intersection(z=z, spurious=cot(z) > 0.0))
+                found.append(Intersection(z=z, spurious=spurious))
         k += 1
     return VariantReport(kind=kind, intersections=tuple(found))
 
 
-def filtered_equivalence(
-    kind: VariantKind,
-    z0: WellStrength | float,
-    config: SolveConfig = SolveConfig(),
-) -> bool:
+def filtered_equivalence(kind: VariantKind, z0: WellStrength | float) -> bool:
     """Does discarding spurious crossings recover the true spectrum?
 
-    True when the non-spurious crossings of the variant match the output
-    of :func:`semiwell.solver.solve_all` one for one.  A variant can fail
-    either by keeping no crossing where a genuine root exists (NEG_SIN
-    loses entire bands) or by disagreeing in value.
+    A count check: True when the bands 1..N of the N bound states keep one
+    crossing each.  A genuine crossing is the band solve's root, so it
+    cannot disagree with the spectrum in value.  NEG_SIN fails by losing
+    entire bands; any form with a crossing in band N + 1 (just above a
+    tangency threshold, inside the snap of the count) fails too.
     """
-    w = _as_strength(z0)
-    kept = enumerate_intersections(kind, w).genuine_roots()
-    true_roots = [s.z for s in solve_all(w, config)]
-    if len(kept) != len(true_roots):
-        return False
-    tol = max(config.root_tol, 1e-9)
-    return all(abs(k - t) <= tol for k, t in zip(kept, true_roots))
+    v = strength_value(z0)
+    kept = enumerate_intersections(kind, v).genuine_roots()
+    n = count_bound_states(v)
+    # the kept roots lie one per band in increasing z, so n of them that
+    # end in band n are the bands 1..n
+    return len(kept) == n and (n == 0 or kept[-1] < _band_edges(n)[1])

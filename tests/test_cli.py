@@ -118,6 +118,20 @@ def test_variants_csv(capsys):
     assert [r[2] for r in rows[1:]] == ["true", "false", "true", "false"]
 
 
+@pytest.mark.parametrize("z0", ["25", "1.6", repr(3 * math.pi / 2 + 1e-9)])
+def test_variants_correct_prints_the_solved_roots(capsys, z0):
+    # the correct form's crossings are the spectrum's roots, digit for digit
+    code, solved, _ = invoke(capsys, "solve", "--z0", z0, "--format", "csv")
+    assert code == 0
+    code, crossed, _ = invoke(capsys, "variants", "--kind", "correct", "--z0", z0, "--format", "csv")
+    assert code == 0
+    roots = [row[1] for row in csv.reader(io.StringIO(solved))]
+    crossings = [row[1] for row in csv.reader(io.StringIO(crossed))]
+    assert roots[0] == crossings[0] == "z"
+    assert len(roots) > 1
+    assert crossings == roots
+
+
 def test_wavefn_command(capsys):
     code, out, _ = invoke(capsys, "wavefn", "--z0", "15", "--state", "2", "--samples", "200")
     assert code == 0

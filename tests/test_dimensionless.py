@@ -16,9 +16,11 @@ from semiwell import (
     BoundState,
     DomainError,
     WellStrength,
+    bracket_for,
     cot,
     energy_ratio,
     interval_index,
+    newton_solve,
     residual_exact,
     residual_interval,
     residual_interval_derivative,
@@ -152,6 +154,22 @@ def test_residual_interval_rejects_bad_index():
         residual_interval(1.0, 0, 15.0)
     with pytest.raises(DomainError):
         residual_interval_derivative(1.0, -1, 15.0)
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.5, 3.0, True, "2", None])
+def test_band_index_must_be_a_positive_int(m):
+    # one rule wherever a band index enters: a float (even a whole one) or
+    # a bool is refused, never rounded or solved as if it were a band
+    with pytest.raises(DomainError, match="interval index"):
+        residual_interval(3.0, m, 15.0)
+    with pytest.raises(DomainError, match="interval index"):
+        residual_interval_derivative(3.0, m, 15.0)
+    with pytest.raises(DomainError, match="interval index"):
+        bracket_for(m, 15.0)
+    with pytest.raises(DomainError, match="interval index"):
+        newton_solve(m, 15.0)
+    with pytest.raises(DomainError, match="interval index"):
+        BoundState(m=m, z=2.944, z_tilde=14.708, energy_ratio=0.0385)
 
 
 def test_derivative_matches_finite_difference():

@@ -96,8 +96,12 @@ def test_crossings_are_sorted_and_confined():
         assert all(0.0 < z <= 25.0 for z in zs)
 
 
-def test_spurious_flag_matches_cot_sign():
-    report = enumerate_intersections(VariantKind.ABS_SIN, 25.0)
+@pytest.mark.parametrize("z0", [25.0, SIN_TANGENT_Z0] + NEAR_THRESHOLD)
+@pytest.mark.parametrize("kind", list(VariantKind))
+def test_spurious_flag_matches_cot_sign(kind, z0):
+    # the flag is the parity of the crossing's half-pi cell; the sign of
+    # cot at the crossing is the reference it must agree with
+    report = enumerate_intersections(kind, z0)
     for item in report.intersections:
         assert item.spurious == (cot(item.z) > 0.0)
 
@@ -129,15 +133,20 @@ def test_filtering_cannot_rescue_the_wrong_branch():
 
 
 @pytest.mark.parametrize(
-    "z0", [2.0, 3.3, 7.7, 10.0, 13.1, 18.6, 25.0, 33.3, 40.0] + NEAR_THRESHOLD
+    "z0",
+    [1.6, 2.0, 3.3, 7.7, 10.0, 13.1, 18.6, 25.0, 33.3, 40.0, 1e3] + NEAR_THRESHOLD,
 )
 def test_kept_crossings_track_solver_roots(z0):
-    true_roots = [s.z for s in solve_all(z0)]
+    # a genuine crossing is the band solve's root, so it equals the
+    # spectrum's bit for bit; the sin forms keep every other band
+    states = solve_all(z0)
+    true_roots = [s.z for s in states]
     for kind in (VariantKind.ABS_SIN, VariantKind.CORRECT):
-        kept = enumerate_intersections(kind, z0).genuine_roots()
-        assert len(kept) == len(true_roots)
-        for a, b in zip(kept, true_roots):
-            assert abs(a - b) <= 1e-9
+        assert enumerate_intersections(kind, z0).genuine_roots() == true_roots
+    odd = [s.z for s in states if s.m % 2]
+    even = [s.z for s in states if not s.m % 2]
+    assert enumerate_intersections(VariantKind.SIN, z0).genuine_roots() == odd
+    assert enumerate_intersections(VariantKind.NEG_SIN, z0).genuine_roots() == even
 
 
 @given(z0=st.floats(min_value=0.05, max_value=2000.0, exclude_min=True))
