@@ -179,16 +179,14 @@ def _solve_payload(
     n = _enumerable_count(strength)
     roots = []
     iters_total = 0
-    bisections_total = 0
     max_residual = 0.0
     for m in range(1, n + 1):
         # n is the count, so every band 1..n holds a root: no per-band recount
-        state, trace = _solve_band(m, strength.z0, config)
+        state, iterates = _solve_band(m, strength.z0, config)
         res = residual_exact(state.z, strength)
         max_residual = max(max_residual, abs(res))
-        iters = len(trace.iterates) - 1
+        iters = len(iterates) - 1
         iters_total += iters
-        bisections_total += trace.fallback_bisections
         roots.append(
             {
                 "m": state.m,
@@ -202,7 +200,7 @@ def _solve_payload(
     results = {"count": n, "roots": roots}
     diagnostics = {
         "newton_iters_total": iters_total,
-        "fallback_bisections_total": bisections_total,
+        "fallback_bisections_total": 0,  # Newton needs no fallback step
         "max_abs_residual": max_residual,
     }
     return results, diagnostics

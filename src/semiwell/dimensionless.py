@@ -53,9 +53,10 @@ def strength_value(z0: WellStrength | float) -> float:
     return v
 
 
-def _check_band(m: int) -> None:
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise DomainError(f"interval index must be an int >= 1, got {m!r}")
+def _check_int(label: str, n: int, least: int) -> None:
+    # an int (not a bool, not a float such as 2.0) of at least least
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        raise DomainError(f"{label} must be an int >= {least}, got {n!r}")
 
 
 def _band_edges(m: int) -> tuple[float, float]:
@@ -68,7 +69,8 @@ class BoundState:
     """A single bound state: interval index m, root z, decay constant z_tilde.
 
     The root lies strictly inside the m-th band ((2m - 1) pi / 2, m pi),
-    the only places the eigenvalue equation can balance.
+    the only places the eigenvalue equation can balance; its float may be
+    that of an edge, where a root within half an ulp of the edge rounds.
     """
 
     m: int
@@ -77,11 +79,11 @@ class BoundState:
     energy_ratio: float
 
     def __post_init__(self) -> None:
-        _check_band(self.m)
+        _check_int("interval index", self.m, 1)
         lo, hi = _band_edges(self.m)
-        if not lo < self.z < hi:
+        if not lo <= self.z <= hi:
             raise DomainError(
-                f"z={self.z!r} outside interval ({lo!r}, {hi!r}) for m={self.m}"
+                f"z={self.z!r} outside interval [{lo!r}, {hi!r}] for m={self.m}"
             )
         if not self.z_tilde > 0.0:
             raise DomainError(f"decay constant must be positive, got {self.z_tilde!r}")
@@ -120,7 +122,7 @@ def residual_interval(z: float, m: int, z0: WellStrength | float) -> float:
     with the zero of :func:`residual_exact`; f is negative at the left edge
     and positive at the right edge whenever the band holds a root.
     """
-    _check_band(m)
+    _check_int("interval index", m, 1)
     v = strength_value(z0)
     sign = -1.0 if m % 2 else 1.0
     return z + sign * v * math.sin(z)
@@ -128,7 +130,7 @@ def residual_interval(z: float, m: int, z0: WellStrength | float) -> float:
 
 def residual_interval_derivative(z: float, m: int, z0: WellStrength | float) -> float:
     """d/dz of :func:`residual_interval`: 1 + (-1)^m z0 cos(z)."""
-    _check_band(m)
+    _check_int("interval index", m, 1)
     v = strength_value(z0)
     sign = -1.0 if m % 2 else 1.0
     return 1.0 + sign * v * math.cos(z)

@@ -8,6 +8,6 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative solve failed to reach its tolerances.
 
-    With the bracketed safeguard in place this indicates an internal bug or
-    a pathological configuration, not ordinary numerical noise.
+    Newton on the concave band residual converges from its fixed start, so
+    this indicates an internal bug or a pathological configuration.
     """

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .dimensionless import _check_int
 from .solver import SolveConfig, newton_solve
 
 
@@ -46,8 +46,7 @@ class ExactSolutionRecord:
 
 def exact_solution(n: int) -> ExactSolutionRecord:
     """Closed-form record for the n-th exactly solvable well."""
-    if n < 0:
-        raise DomainError(f"family index must be >= 0, got {n}")
+    _check_int("family index", n, 0)
     odd = 8 * n + 3
     z = odd * math.pi / 4.0
     return ExactSolutionRecord(

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .dimensionless import WellStrength, cot, strength_value
+from .dimensionless import WellStrength, _check_int, cot, strength_value
 from .errors import DomainError
 from .variants import _G, VariantKind
 
@@ -215,8 +215,7 @@ def emit_curves(
     """
     v = strength_value(z0)
     kind = CurveKind(kind.value)
-    if samples < 2:
-        raise DomainError(f"need at least 2 samples, got {samples}")
+    _check_int("samples", samples, 2)
     curve = _curve(kind, v)
     # v * (i / (samples - 1)) never leaves [0, v], so no sample is range-checked
     grid = [v * (i / (samples - 1)) for i in range(samples)]

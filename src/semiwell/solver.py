@@ -1,4 +1,4 @@
-"""Root counting and the safeguarded Newton solve for the full spectrum.
+"""Root counting and the Newton solve of the spectrum in band-edge coordinates.
 
 The number of bound states follows from where the circle of radius z0
 meets the bands with cot(z) < 0: with t = 2 z0 / pi,
@@ -11,24 +11,25 @@ tangent to a band edge and the grazing intersection z = z0 carries no
 normalizable state, so N drops back by one.  Those thresholds are snapped
 to within 1e-12 relative.
 
-Each root is found by Newton's method on the smooth per-band surrogate
-f(z) = z + (-1)^m z0 sin(z), started from the band midpoint and kept
-honest by a shrinking sign-change bracket: any step that leaves the
-bracket, or lands where |f'| is negligible, is replaced by a bisection
-step.  The same band solve gives the crossings of :mod:`semiwell.variants`
-on the bands, and the loop refines their crossings between the bands.
-Every routine here is a pure function, so solves for different bands or
-depths can run concurrently without shared state.
+Band m is solved from its left edge e_m = (2m - 1) pi / 2, held as an exact
+pair of floats.  With eps_m = z0 - e_m and delta = z - e_m the residual
+
+    h_m(delta) = eps_m - delta - 2 z0 sin^2(delta / 2) = -(z - z0 |sin z|)
+
+is concave on (-pi/2, pi/2).  The band is delta > 0, where h_m falls from
+eps_m: it holds a root exactly when eps_m > 0, with z_tilde = z0 sin(delta).
+A root past the band midpoint (E/V0 < 1/2, h_m > 0 there) is solved in the
+paper's theta = m pi - z instead, on theta + z0 sin(theta) - m pi, concave
+on (0, pi), with z_tilde = z0 cos(theta).  Neither cancels near a
+threshold, and on a concave residual plain Newton from the band midpoint
+(4m - 1) pi / 4 needs no bracket.  The same loop finds the crossings of
+:mod:`semiwell.variants` between the bands (delta < 0).
 
 Inputs are validated once per public call, where they enter; the loops
-below that run on the plain float z0.  The Newton loop evaluates
-f = z + s sin z and f' = 1 + s cos z inline, with s = (-1)^m z0 fixed per
-band, in the same operations and order as
-:func:`semiwell.dimensionless.residual_interval` and its derivative, so
-its iterates are those of the public residuals bit for bit.
-:func:`solve_all` counts the states once and solves every band through the
-same per-band solve as :func:`newton_solve`, which adds the band check of
-:func:`bracket_for`.
+below that run on the plain float z0.  :func:`solve_all` counts the states
+once and solves every band through the same per-band solve as
+:func:`newton_solve`, which adds the band check of :func:`bracket_for`.
+Every routine here is a pure function.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ import math
 from dataclasses import dataclass
 
 from .dimensionless import (
+    _HALF_PI,
     BoundState,
     WellStrength,
     _band_edges,
-    _check_band,
+    _check_int,
     strength_value,
 )
 from .errors import ConvergenceError, DomainError
@@ -48,17 +50,20 @@ from .errors import ConvergenceError, DomainError
 # relative snap width for the tangency thresholds 2 z0 / pi = 3, 5, 7, ...
 _THRESHOLD_SNAP = 1e-12
 
-# a Newton step is refused when |f'| falls below this
-_DERIVATIVE_FLOOR = 1e-14
+# pi - math.pi, so that pi = math.pi + _PI_LO to about 3e-33
+_PI_LO = 1.2246467991473532e-16
+
+# h at the band midpoint delta = pi/4 is eps - pi/4 - _MIDPOINT_SAG z0
+_MIDPOINT_SAG = 2.0 * math.sin(math.pi / 8.0) ** 2
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Tolerances for the Newton solve.
 
-    root_tol is the absolute step-size target (widened internally to a few
-    ulps of the iterate when z is large enough that 1e-12 is below float
-    resolution).  residual_tol double-checks |f| at the accepted root.
+    root_tol is the step-size target in the band's own coordinate (widened
+    to a few ulps of the iterate if it is below float resolution there).
+    residual_tol double-checks |z - z0 |sin z|| at the accepted root.
     """
 
     root_tol: float = 1e-12
@@ -72,18 +77,14 @@ class SolveConfig:
             raise DomainError(
                 f"residual_tol must be positive, got {self.residual_tol!r}"
             )
-        n = self.max_newton_iters
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise DomainError(f"max_newton_iters must be an int >= 1, got {n!r}")
+        _check_int("max_newton_iters", self.max_newton_iters, 1)
 
 
 @dataclass(frozen=True)
 class NewtonTrace:
-    """Iterate history of one root solve.
+    """Iterate history of one root solve in z, from the band midpoint.
 
-    iterates[0] is the starting guess; each later entry is one accepted
-    step (Newton where safe, bisection otherwise).  fallback_bisections
-    counts the replaced steps.
+    fallback_bisections is always 0: no Newton step needs a safeguard.
     """
 
     iterates: tuple[float, ...]
@@ -114,13 +115,13 @@ def count_bound_states(z0: WellStrength | float) -> int:
 
 
 def bracket_for(m: int, z0: WellStrength | float) -> tuple[float, float]:
-    """Open interval ((2m - 1) pi / 2, m pi) bracketing the m-th root.
+    """Open interval ((2m - 1) pi / 2, m pi) holding the m-th root.
 
     Raises DomainError when m exceeds the state count for this z0, since
-    the band then holds no root to bracket.
+    the band then holds no root.
     """
     v = strength_value(z0)
-    _check_band(m)
+    _check_int("interval index", m, 1)
     n = count_bound_states(v)
     if m > n:
         raise DomainError(
@@ -129,106 +130,115 @@ def bracket_for(m: int, z0: WellStrength | float) -> tuple[float, float]:
     return _band_edges(m)
 
 
+def _split(a: float) -> tuple[float, float]:
+    # Dekker's split by 2^27 + 1: a = hi + lo, halves of 26 bits whose
+    # products are exact
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_PI_SPLIT = _split(math.pi)
+
+
+def _band_frame(m: int, v: float) -> tuple[float, float, float]:
+    # band m's left edge e_m = (2m - 1) pi / 2 = hi + lo, hi the float nearest
+    # it, to about 1e-32 relative: (2m - 1) math.pi is its rounded product
+    # plus the exact error (Dekker's two-product), which (2m - 1)(pi - math.pi)
+    # joins.  Also eps_m = z0 - e_m, 0 for a z0 on hi: that z0 is the
+    # threshold, whose grazing root z = z0 is no root.
+    x = float(2 * m - 1)
+    p = x * math.pi
+    (xh, xl), (ph, pl) = _split(x), _PI_SPLIT
+    err = ((xh * ph - p) + xh * pl + xl * ph) + xl * pl + x * _PI_LO
+    hi = p + err
+    e_hi, e_lo = 0.5 * hi, 0.5 * (err - (hi - p))
+    return e_hi, e_lo, 0.0 if v == e_hi else (v - e_hi) - e_lo
+
+
 def _newton(
     m: int,
     v: float,
-    lo: float,
-    hi: float,
-    z: float,
-    rising: bool,
+    x: float,
+    eps: float,
+    m_pi: tuple[float, float] | None,
     config: SolveConfig,
-) -> tuple[float, list[float], int]:
-    """Root of f(z) = z + (-1)^m v sin(z) on [lo, hi], started from z.
+) -> list[float]:
+    """Plain Newton iterates on band m's residual from x; the last is the root.
 
-    v is the already validated z0.  f changes sign once on the bracket:
-    upwards when ``rising``, else downwards.  The bracket shrinks around
-    the root by the sign of f; a candidate step outside the open bracket,
-    or taken where |f'| < 1e-14, is discarded for the bracket midpoint.
-    Terminates when the step size drops below config.root_tol (or a few
-    ulps of z if that is larger), then certifies |f(z)|.  Returns the
-    root, the iterates and the number of replaced steps.
+    x is delta = z - e_m, on h(delta) = eps - delta - 2 z0 sin^2(delta / 2);
+    given m_pi, m pi = hi + lo, x is theta = m pi - z instead, on
+    theta + z0 sin(theta) - m pi.  Both are -(z - z0 |sin z|).  Stops when
+    the step drops below config.root_tol or 4 ulps of x, then certifies the
+    residual against residual_tol (widened for a loose root_tol) plus its
+    rounding floor: |slope| ulp(x), and a few ulp(z0) from terms up to z0.
     """
-    # f and f' are residual_interval and its derivative, inline and with
-    # the same operations in the same order, so the iterates keep their bits
-    sv = -v if m % 2 else v
-    sin, cos, ulp = math.sin, math.cos, math.ulp
+    sin, cos = math.sin, math.cos
+    p_hi, p_lo = m_pi or (0.0, 0.0)
     root_tol = config.root_tol
-    iterates = [z]
-    fallbacks = 0
-    for _ in range(config.max_newton_iters):
-        fz = z + sv * sin(z)
-        if fz == 0.0:
-            break
-        if (fz < 0.0) == rising:
-            lo = z
+    iterates = [x]
+    step = math.inf
+    for _ in range(config.max_newton_iters + 1):
+        if m_pi:
+            fx = ((v * sin(x) - p_hi) + x) - p_lo
+            dfx = 1.0 + v * cos(x)
         else:
-            hi = z
-        dfz = 1.0 + sv * cos(z)
-        if abs(dfz) < _DERIVATIVE_FLOOR:
-            candidate = 0.5 * (lo + hi)
-            fallbacks += 1
-        else:
-            candidate = z - fz / dfz
-            if candidate == z:
-                # correction below float resolution: z is the root
-                break
-            if not lo < candidate < hi:
-                candidate = 0.5 * (lo + hi)
-                fallbacks += 1
-        iterates.append(candidate)
-        step = abs(candidate - z)
-        z = candidate
-        if step < root_tol or step < 4.0 * ulp(z):
+            s = sin(0.5 * x)
+            fx = eps - x - 2.0 * v * s * s
+            dfx = -1.0 - v * sin(x)
+        if abs(step) < root_tol or abs(step) < 4.0 * math.ulp(x):
             break
+        step = fx / dfx if fx else 0.0
+        if x - step == x:
+            # no correction, or one below float resolution: x is the root
+            break
+        x -= step
+        iterates.append(x)
     else:
         raise ConvergenceError(
             f"no convergence after {config.max_newton_iters} iterations "
             f"for m={m}, z0={v!r}"
         )
-    # residual_tol is the floor; a deliberately loose root_tol widens the
-    # double-check so a coarse solve is not rejected as a failure.  Neither
-    # can ask for less than float64 reaches: the float nearest the root
-    # leaves |f'| ulp(z), and evaluating z + z0 sin z adds a few ulp more.
     residual_cap = max(config.residual_tol, 10.0 * root_tol * max(1.0, v))
-    rounding = abs(1.0 + sv * cos(z)) * ulp(z)
-    rounding += 4.0 * ulp(max(z, v))
-    if abs(z + sv * sin(z)) > residual_cap + rounding:
+    if abs(fx) > residual_cap + abs(dfx) * math.ulp(x) + 4.0 * math.ulp(v):
         raise ConvergenceError(
-            f"step size converged but |f(z)| exceeds tolerance "
-            f"for m={m}, z0={v!r}, z={z!r}"
+            f"step size converged but the residual {fx!r} exceeds tolerance "
+            f"for m={m}, z0={v!r}"
         )
-    return z, iterates, fallbacks
+    return iterates
 
 
-def _band_root(m: int, v: float, config: SolveConfig) -> tuple[float, list[float], int]:
-    # the root in band m of a well of validated strength v that reaches it
-    lo, hi = _band_edges(m)
-    z, iterates, fallbacks = _newton(
-        m, v, lo, hi, (4 * m - 1) * math.pi / 4.0, True, config
-    )
-    # Just above a degenerate threshold the true root is closer to z0 than
-    # one ulp; pin it inside (0, z0) so the decay constant stays positive.
-    if z >= v:
-        z = math.nextafter(v, 0.0)
-    return z, iterates, fallbacks
+def _band_root(
+    m: int, v: float, frame: tuple[float, float, float], config: SolveConfig
+) -> tuple[float, float, list[float]]:
+    # z, z_tilde and the iterates in z of the root of band m, which holds one;
+    # frame is _band_frame(m, v)
+    e_hi, e_lo, eps = frame
+    start = (4 * m - 1) * math.pi / 4.0
+    if eps > 0.25 * math.pi + _MIDPOINT_SAG * v:
+        # h > 0 at the midpoint: the root lies past it, nearer m pi = e_m + pi/2
+        p_hi = e_hi + _HALF_PI
+        p_lo = ((e_hi - p_hi) + _HALF_PI) + (e_lo + 0.5 * _PI_LO)
+        thetas = _newton(m, v, (p_hi - start) + p_lo, eps, (p_hi, p_lo), config)
+        zs = [p_hi + (p_lo - t) for t in thetas]
+        z_tilde = v * math.cos(thetas[-1])
+    else:
+        deltas = _newton(m, v, (start - e_hi) - e_lo, eps, None, config)
+        zs = [e_hi + (e_lo + x) for x in deltas]
+        z_tilde = v * math.sin(deltas[-1])
+    zs[0] = start
+    # E < V0: a root within half an ulp of z0 is reported one ulp below it,
+    # unless z0 is the first float above the band's edge
+    if zs[-1] == v and math.nextafter(v, 0.0) > e_hi:
+        zs[-1] = math.nextafter(v, 0.0)
+    return zs[-1], z_tilde, zs
 
 
-def _solve_band(
-    m: int, v: float, config: SolveConfig
-) -> tuple[BoundState, NewtonTrace]:
-    # the m-th bound state of a well of validated strength v, which holds it
-    z, iterates, fallbacks = _band_root(m, v, config)
-    state = BoundState(
-        m=m,
-        z=z,
-        z_tilde=math.sqrt((v - z) * (v + z)),
-        energy_ratio=(z / v) ** 2,
-    )
-    return state, NewtonTrace(
-        iterates=tuple(iterates),
-        converged=True,
-        fallback_bisections=fallbacks,
-    )
+def _solve_band(m: int, v: float, config: SolveConfig) -> tuple[BoundState, list[float]]:
+    # the m-th bound state of a well of validated strength v, which holds it,
+    # and the iterates in z that found it
+    z, z_tilde, iterates = _band_root(m, v, _band_frame(m, v), config)
+    return BoundState(m=m, z=z, z_tilde=z_tilde, energy_ratio=(z / v) ** 2), iterates
 
 
 def newton_solve(
@@ -238,14 +248,16 @@ def newton_solve(
 ) -> tuple[BoundState, NewtonTrace]:
     """Solve for the m-th root of a well of strength z0.
 
-    Safeguarded Newton on f(z) = z + (-1)^m z0 sin(z), rising across the
-    band bracket of :func:`bracket_for`, from its midpoint (4m - 1) pi / 4.
-    The root is accepted when |f(z)| is within config.residual_tol or,
-    where float64 cannot reach that, within the rounding floor of f.
+    Newton on the band's concave residual (see the module docstring), from
+    the band midpoint (4m - 1) pi / 4; m must be a band of
+    :func:`bracket_for`.  The root is accepted when its residual is within
+    config.residual_tol or, where float64 cannot reach that, within the
+    rounding floor of the residual.
     """
     v = strength_value(z0)
     bracket_for(m, v)
-    return _solve_band(m, v, config)
+    state, iterates = _solve_band(m, v, config)
+    return state, NewtonTrace(tuple(iterates), converged=True, fallback_bisections=0)
 
 
 def solve_all(
@@ -254,8 +266,8 @@ def solve_all(
 ) -> list[BoundState]:
     """All bound states of a well of strength z0, in increasing energy.
 
-    One Newton solve per band; the per-band brackets are disjoint, so the
-    returned roots are strictly increasing by construction.
+    One Newton solve per band; each root lies inside its own band, so the
+    returned roots are strictly increasing.
     """
     v = strength_value(z0)
     return [_solve_band(m, v, config)[0] for m in range(1, count_bound_states(v) + 1)]

@@ -20,15 +20,15 @@ SIN-type errors only when no genuine root is also lost, which is what
 The crossings are counted exactly, cell by cell.  On each half-pi cell
 [k pi/2, (k + 1) pi/2] every g above is either +|sin z| or -|sin z|.
 Where it is -|sin z| the line cannot meet the curve.  Where it is
-+|sin z| the residual z - z0 |sin z| is the solver's own
-f(z) = z + (-1)^m z0 sin(z) with m = k // 2 + 1, and it is convex on the
-cell.  The odd cells k = 2m - 1 are the bands: f rises there and has at
-most one root, the spectrum's, taken from the solver's band solve.  The
-even cells lie between the bands, where cot(z) > 0, and hold the spurious
-crossings: f has one minimum, at k pi/2 + arccos(1/z0) when z0 > 1, and at
-most one root on either side of it, refined by the solver's Newton loop.
-The signs of f at the ends of these monotone pieces give the count, and
-the parity of the cell is the ``spurious`` flag.
++|sin z| the crossings are roots of the solver's concave band residual
+h_m(delta) = -(z - z0 |sin z|), delta = z - e_m, with m = k // 2 + 1.
+The odd cell k = 2m - 1 is band m (delta > 0), where h_m falls from
+z0 - e_m: one root when that is positive, the spectrum's, from the band
+solve.  The even cell k = 2m - 2 lies between the bands (cot(z) > 0):
+h_m rises from -(m - 1) pi to its maximum at delta = -arcsin(1/z0), then
+falls to z0 - e_m, so it has at most one root on either side, found by
+the solver's Newton loop from the cell's ends.  The signs of h_m there
+give the count; the parity of the cell is the ``spurious`` flag.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .dimensionless import _HALF_PI, WellStrength, _band_edges, strength_value
 from .errors import DomainError
-from .solver import SolveConfig, _band_root, _newton, count_bound_states
+from .solver import SolveConfig, _band_frame, _band_root, _newton, count_bound_states
 
 
 class VariantKind(enum.Enum):
@@ -101,29 +100,22 @@ class VariantReport:
         return [i.z for i in self.intersections if not i.spurious]
 
 
-def _cell_crossings(k: int, v: float, config: SolveConfig) -> Iterator[float]:
-    # roots of f(z) = z - z0 |sin z| on (k pi/2, (k + 1) pi/2), in increasing z;
-    # f is residual_interval, inline as in the Newton loop
-    m = k // 2 + 1
-    sv = -v if m % 2 else v
-    a = k * _HALF_PI
-    if k % 2:
-        # band m, where f rises from its left edge: the root is the spectrum's
-        if a + sv * math.sin(a) < 0.0:
-            yield _band_root(m, v, config)[0]
-        return
-    b = (k + 1) * _HALF_PI
-    # f falls to its minimum at c, where z0 |cos z| = 1; for z0 <= 1 it
-    # only rises, so the falling piece is empty
-    c = a + math.acos(min(1.0, 1.0 / v))
-    for lo, hi, rising in ((a, c, False), (c, b, True)):
-        f_lo = lo + sv * math.sin(lo)
-        f_hi = hi + sv * math.sin(hi)
-        if (f_lo < 0.0 < f_hi) if rising else (f_lo > 0.0 > f_hi):
-            # started where f > 0, Newton on a convex f never overshoots
-            z, _, _ = _newton(m, v, lo, hi, hi if rising else lo, rising, config)
-            # f > 0 beyond z0, so only rounding can put the root there
-            yield min(z, v)
+def _gap_crossings(
+    m: int, v: float, frame: tuple[float, float, float], config: SolveConfig
+) -> list[float]:
+    # roots of z = z0 |sin z| between bands m - 1 and m, delta = z - e_m in
+    # (-pi/2, 0), in increasing z: h rises from -(m - 1) pi to its maximum at
+    # -arcsin(1/z0), then falls to eps; for z0 <= 1 it only falls
+    e_hi, e_lo, eps = frame
+    if v <= 1.0:
+        return []
+    d = -math.asin(1.0 / v)
+    if eps - d - 2.0 * v * math.sin(0.5 * d) ** 2 <= 0.0:
+        return []
+    # started from a piece end, where h < 0, Newton on a concave h never
+    # crosses the root
+    starts = ([-_HALF_PI] if m > 1 else []) + ([0.0] if eps < 0.0 else [])
+    return [e_hi + (e_lo + _newton(m, v, x, eps, None, config)[-1]) for x in starts]
 
 
 def enumerate_intersections(
@@ -135,20 +127,27 @@ def enumerate_intersections(
     cell below z0 on which g = +|sin z| holds at most two; the signs of
     z - z0 |sin z| at the ends of the cell's monotone pieces count them
     exactly, and a crossing on a band is the band solve's root (see the
-    module docstring).  At a threshold z0 = k pi/2 the grazing crossing
-    z = z0 is not reported.  A crossing between the bands, where
-    cot(z) > 0 and the original equation fails, is spurious.
+    module docstring).  At a threshold, z0 on the float nearest k pi/2,
+    the grazing crossing z = z0 is not reported.  A crossing between the
+    bands, where cot(z) > 0 and the original equation fails, is spurious.
     """
     v = strength_value(z0)
     config = SolveConfig()
+    g = _G[kind]
     found: list[Intersection] = []
-    k = 0
-    while k * _HALF_PI < v:
-        if _G[kind]((k + 0.5) * _HALF_PI) > 0.0:
-            spurious = k % 2 == 0
-            for z in _cell_crossings(k, v, config):
-                found.append(Intersection(z=z, spurious=spurious))
-        k += 1
+    m = 1
+    while (m - 1) * math.pi < v:
+        # the cell below band m, then band m itself, tested at their middles
+        gap, band = g((m - 0.75) * math.pi) > 0.0, g((m - 0.25) * math.pi) > 0.0
+        if gap or band:
+            frame = _band_frame(m, v)
+            if gap:
+                for z in _gap_crossings(m, v, frame, config):
+                    found.append(Intersection(z=z, spurious=True))
+            if band and frame[2] > 0.0:
+                z = _band_root(m, v, frame, config)[0]
+                found.append(Intersection(z=z, spurious=False))
+        m += 1
     return VariantReport(kind=kind, intersections=tuple(found))
 
 

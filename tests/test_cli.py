@@ -286,13 +286,13 @@ def test_loose_tolerance_still_solves(capsys):
 # output (a speed-up, a refactor) and that moves any byte of it fails here
 GOLDEN_STDOUT = {
     "count --z0 15": "a1e958da1529bdcb2ec16c27b44b0b6c66584e7a7dbb3304233aef832d23b0a7",
-    "solve --z0 25": "5e28a2f70a9dd06249ed56f80b03b25642f048149e551c2d5b1caa2ccda30171",
-    "solve --z0 25 --format csv": "f8526ce69874663187f3b3b32fc821287b5423d919f046801540d1b7dabc1e4f",
+    "solve --z0 25": "1a96befe140eec0f69d659616303c81beadfe2aa0a71f7ea494339ed5ddea49b",
+    "solve --z0 25 --format csv": "f63f9db52d6318679d146951914edb7f735cd3701f071abe3cc45b83be8e67a0",
     "wavefn --z0 15 --state 2 --samples 500": "a9a245c6185a2dd61bf32ba30d64b35c17fe9ad6308ac477921e50939871cf05",
-    "variants --kind sin --z0 25": "ed937ddebf88cada142e1f76a9f3e8758d7d9e9cbabbcc60d21105ddc5d452e3",
-    "variants --kind abs-sin --z0 25": "159433cd4329108d4c244ea2c6d1ead22c7ca937e360b256ae53cc76cf81fae2",
-    "variants --kind neg-sin --z0 25": "144231947d23b146a9bf126b605f7df972d4119ab58b2eb1b22ad8a7c57c975b",
-    "variants --kind correct --z0 25": "a61caa3b4c73febbafc4a30fd01ad43eb6973812e7c274690da2abb3b5b7aa3c",
+    "variants --kind sin --z0 25": "9fdb1099ad47ce3f271f22b50c0d3ec4ff7b1f4fadbac4366e4daddba4e5621c",
+    "variants --kind abs-sin --z0 25": "9b20d31d5563d26223eb6f37f52642e90979eb38f0d9abfbc557ea5d822ec62c",
+    "variants --kind neg-sin --z0 25": "536ae3d949a9bfbfacba589b40ebcfd065fbb3e09e5592027f94259a83be243d",
+    "variants --kind correct --z0 25": "03adb7f73c99ca0b8764a70e50d7b06274117cc543c719b4f19a7a5208d8560c",
     "curves --kind circle --z0 15": "1dd96ecb19a69b9c6bb7c9d2bc664417e86283bfece615524571f0e3d460c99f",
     "curves --kind cot --z0 15": "50f49fb36d77677009284d677c38ed0c0ec9ec4f50241da681079b82a86f154d",
     "curves --kind sin --z0 15": "9cf8492652df9fe522c1717136ff9e54de2f6c4b87854fec8cdcc3906197c3ef",

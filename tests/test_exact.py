@@ -107,6 +107,16 @@ def test_rejects_negative_index():
         exact_solution(-1)
 
 
+@pytest.mark.parametrize("n", [2.5, 1.5, 2.0, True, False, "1"])
+def test_family_index_must_be_an_int(n):
+    # 2.5 and True used to come back as records with n = 2.5 and n = True,
+    # and cross_validate(1.5) failed on a band index of 4.0
+    with pytest.raises(DomainError, match="family index"):
+        exact_solution(n)
+    with pytest.raises(DomainError, match="family index"):
+        cross_validate(n)
+
+
 @pytest.mark.parametrize("n", [*range(0, 11), 10**6])
 def test_cross_validate_against_newton_solver(n):
     assert cross_validate(n)

@@ -179,6 +179,12 @@ class TestCurves:
         with pytest.raises(DomainError):
             emit_curves(10.0, CurveKind.SIN, samples=1)
 
+    @pytest.mark.parametrize("samples", [2.5, 3.0, True, "5"])
+    def test_sample_count_must_be_an_int(self, samples):
+        # 2.5 used to end in a bare TypeError from range()
+        with pytest.raises(DomainError, match="samples"):
+            emit_curves(15.0, CurveKind.SIN, samples)
+
     @pytest.mark.parametrize("z0", [15.0, 7.7898, 177.4971, 3 * math.pi])
     @pytest.mark.parametrize("kind", list(CurveKind))
     def test_emit_curves_is_curve_value_sample_by_sample(self, kind, z0):

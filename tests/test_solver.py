@@ -1,4 +1,4 @@
-"""State counting and the safeguarded Newton solve.
+"""State counting and the Newton solve in band-edge coordinates.
 
 Roots marked frozen come from a 50-digit mpmath solve of
 sqrt(z0^2 - z^2) = -z cot(z), rounded to 17 digits.
@@ -7,6 +7,7 @@ sqrt(z0^2 - z^2) = -z cot(z), rounded to 17 digits.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +18,18 @@ from semiwell import (
     SolveConfig,
     WellStrength,
     bracket_for,
+    build_wavefunction,
     count_bound_states,
     newton_solve,
+    probability_inside,
     residual_exact,
     residual_interval,
-    residual_interval_derivative,
     solve_all,
 )
+from semiwell.solver import _band_frame
+
+# pi - math.pi, from a 50-digit mpmath value of pi
+PI_LO = 1.2246467991473532e-16
 
 ROOTS_15 = [
     2.9440408044848854,
@@ -272,33 +278,45 @@ def test_deep_well_approaches_infinite_well_levels():
 
 
 def _replayed_iterates(m, z0, config=SolveConfig()):
-    # the documented safeguarded Newton loop, written out on the public
-    # residual_interval and its derivative: the reference for the solver's
-    # inline f and f'
-    lo, hi = bracket_for(m, z0)
-    z = (4 * m - 1) * math.pi / 4.0
-    iterates = [z]
+    # the documented loop in band-edge coordinates, written out: plain Newton
+    # from the band midpoint on h(delta) = eps - delta - 2 z0 sin^2(delta/2),
+    # delta = z - e_m, or, where h > 0 at the midpoint delta = pi/4, on
+    # theta + z0 sin(theta) - m pi, theta = m pi - z; iterates mapped to z
+    sin, cos = math.sin, math.cos
+    e_hi, e_lo, _ = _band_frame(m, z0)
+    eps = (z0 - e_hi) - e_lo
+    start = (4 * m - 1) * math.pi / 4.0
+    if eps - math.pi / 4 - 2.0 * z0 * sin(math.pi / 8) ** 2 > 0.0:
+        # m pi = e_m + pi/2, the pair renormalized by Fast2Sum
+        p_hi = e_hi + math.pi / 2
+        p_lo = ((e_hi - p_hi) + math.pi / 2) + (e_lo + 0.5 * PI_LO)
+        x = (p_hi - start) + p_lo
+
+        def r(t):
+            return ((z0 * sin(t) - p_hi) + t) - p_lo, 1.0 + z0 * cos(t)
+
+        def to_z(t):
+            return p_hi + (p_lo - t)
+
+    else:
+        x = (start - e_hi) - e_lo
+
+        def r(d):
+            s = sin(0.5 * d)
+            return eps - d - 2.0 * z0 * s * s, -1.0 - z0 * sin(d)
+
+        def to_z(d):
+            return e_hi + (e_lo + d)
+
+    iterates = [start]
     for _ in range(config.max_newton_iters):
-        fz = residual_interval(z, m, z0)
-        if fz == 0.0:
+        fx, dfx = r(x)
+        if fx == 0.0 or x - fx / dfx == x:
             break
-        if fz < 0.0:
-            lo = z
-        else:
-            hi = z
-        dfz = residual_interval_derivative(z, m, z0)
-        if abs(dfz) < 1e-14:
-            candidate = 0.5 * (lo + hi)
-        else:
-            candidate = z - fz / dfz
-            if candidate == z:
-                break
-            if not lo < candidate < hi:
-                candidate = 0.5 * (lo + hi)
-        iterates.append(candidate)
-        step = abs(candidate - z)
-        z = candidate
-        if step < max(config.root_tol, 4.0 * math.ulp(z)):
+        step = fx / dfx
+        x -= step
+        iterates.append(to_z(x))
+        if abs(step) < max(config.root_tol, 4.0 * math.ulp(x)):
             break
     return iterates
 
@@ -307,21 +325,103 @@ def _replayed_iterates(m, z0, config=SolveConfig()):
     "z0,bands",
     [
         (15.0, range(1, 6)),
-        (25.0, range(1, 9)),
-        (21 * math.pi / 2 + 1e-7, range(1, 12)),  # m = 1 takes a bisection
-        (1e4, [1, 2, 3, 1591, 3183]),  # fallback bisections on the low bands
-        (2e5, [1, 679, 41_749, 63_662]),  # 679: one ulp of f/f' shows here
+        (25.0, range(1, 9)),  # m = 1 steps past m pi on the way
+        (21 * math.pi / 2 + 1e-7, range(1, 12)),
+        (1e4, [1, 2, 3, 1591, 3183]),
+        (2e5, [1, 679, 41_749, 63_662]),
     ],
 )
 def test_trace_iterates_are_those_of_residual_interval(z0, bands):
-    # every iterate of the trace, bit for bit, is what Newton on the public
-    # residual_interval takes; a reordered float operation in the solver
-    # moves some iterate by an ulp and fails this
+    # Newton on residual_interval, written in band-edge coordinates (where
+    # it is -h): every iterate of the trace, bit for bit, is what the
+    # documented loop takes; a reordered float operation in the solver moves
+    # some iterate by an ulp and fails this
     for m in bands:
         _, trace = newton_solve(m, z0)
         assert [x.hex() for x in trace.iterates] == [
             x.hex() for x in _replayed_iterates(m, z0)
         ]
+
+
+def test_band_edges_are_exact_pairs():
+    # hi is the float nearest e_m = (2m - 1) pi / 2 and hi + lo carries it
+    # to about 1e-32 relative; eps = z0 - e_m, and 0 on hi itself
+    pi = Fraction(math.pi) + Fraction(PI_LO)
+    ms = list(range(1, 200)) + [500_001, 2**40 + 3, 318_309_886_184, 2**52 - 1]
+    for m in ms:
+        exact = (2 * m - 1) * pi / 2
+        hi, lo, eps = _band_frame(m, 1e300)
+        assert hi == float(exact)
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * 2**-104
+        assert _band_frame(m, hi)[2] == 0.0
+        assert _band_frame(m, math.nextafter(hi, math.inf))[2] > 0.0 < eps
+
+
+# frozen: top state at z0 = k pi / 2 + d, 50-digit mpmath
+# (k, d, m, z_tilde, E/V0, P_inside); at k = 7 and 21 with d = 1e-11 the
+# count's 1e-12 snap drops the grazing state, so the top state is m - 1's
+THRESHOLD_TOP_STATES = [
+    (3, 1e-11, 2, 4.7123028050072555e-11, 1.0, 4.7123028047951975e-11),
+    (3, 1e-09, 2, 4.712388494534388e-09, 1.0, 4.712388473327782e-09),
+    (3, 1e-07, 2, 4.7123879746131575e-07, 0.99999999999999, 4.7123858539540676e-07),
+    (5, 1e-11, 3, 7.853741824680715e-11, 1.0, 7.853741824073902e-11),
+    (5, 1e-09, 3, 7.85397984938497e-09, 1.0, 7.85397978869997e-09),
+    (5, 1e-07, 3, 7.853978647704581e-07, 0.99999999999999, 7.853972579211208e-07),
+    (7, 1e-11, 3, 6.93106071267715, 0.6026588247007294, 0.9240128342811159),
+    (7, 1e-09, 4, 1.0995570424897688e-08, 1.0, 1.0995570304995119e-08),
+    (7, 1e-07, 4, 1.0995568228483006e-06, 0.99999999999999, 1.0995556238244012e-06),
+    (21, 1e-11, 10, 13.143854230611746, 0.8412304826848643, 0.9405232499593938),
+    (21, 1e-09, 11, 3.2986624035838264e-08, 1.0, 3.298662294872093e-08),
+    (21, 1e-07, 11, 3.2986669103954427e-06, 0.99999999999999, 3.2986560392278846e-06),
+]
+
+
+@pytest.mark.parametrize("k,d,m,z_tilde,ratio,p_inside", THRESHOLD_TOP_STATES)
+def test_top_state_just_above_a_threshold(k, d, m, z_tilde, ratio, p_inside):
+    # z_tilde = z0 sin(delta) keeps its relative precision where
+    # sqrt((z0 - z)(z0 + z)) cancelled (1,940 times too large at 3 pi/2 +
+    # 1e-11); E/V0 is (z/z0)^2 and may be one ulp of z low, since z < z0
+    z0 = k * math.pi / 2 + d
+    top = solve_all(z0)[-1]
+    assert top.m == m
+    assert top.z_tilde == pytest.approx(z_tilde, rel=2e-15)
+    assert top.energy_ratio == pytest.approx(ratio, rel=1e-15)
+    p = probability_inside(build_wavefunction(top, z0))
+    assert p == pytest.approx(p_inside, rel=4e-15)
+
+
+def test_top_band_of_a_very_deep_well():
+    # frozen, 50-digit mpmath: the root sits 1.35e-6 inside the band's left
+    # edge, nearer the float of the edge than the next float up; z_tilde is
+    # good to the step tolerance's quadratic remainder, about 3e-13 relative
+    m = 318_309_886_184
+    state, trace = newton_solve(m, 1e12)
+    assert trace.converged
+    assert abs(state.z - 999999999999.0868) <= math.ulp(state.z)
+    assert state.z_tilde == pytest.approx(1351421.633862696, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "z0,bands",
+    [
+        (1e4, None),
+        (2e5, None),
+        (1e6, 500),
+        (1e12, 500),
+    ],
+)
+def test_newton_converges_on_every_band_without_a_bracket(z0, bands):
+    # the concave band residual stands in for the bracket: every band
+    # converges within the default cap, inside its band, and where the
+    # whole spectrum is affordable, as solve_all finds it
+    n = count_bound_states(z0)
+    ms = range(1, n + 1) if bands is None else [*range(1, bands + 1), *range(n - bands + 1, n + 1)]
+    singles = [newton_solve(m, z0)[0] for m in ms]
+    for m, state in zip(ms, singles):
+        assert state.m == m
+        assert state.z_tilde > 0.0
+    if bands is None:
+        assert repr(solve_all(z0)) == repr(singles)
 
 
 @pytest.mark.parametrize("z0", [15.0, 25.0, 1e3, 1e4])

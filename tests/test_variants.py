@@ -30,6 +30,14 @@ SIN_TANGENT_Z0 = 7.789805767492725
 # about 1e-9 of z0
 NEAR_THRESHOLD = [k * math.pi / 2 + d for k in (3, 5, 7, 21) for d in (1e-9, 1e-7)]
 
+# one ulp above the float nearest k pi / 2, which lies below k pi / 2 for
+# these k: no float lies between k pi / 2 and z0, so the band's crossing is
+# z0 itself, never the float below the threshold
+ULP_ABOVE_THRESHOLD = [math.nextafter(k * math.pi / 2, math.inf) for k in (1, 3, 5, 7, 101)]
+
+# the floats nearest k pi / 2, taken as the thresholds themselves
+AT_THRESHOLD = [k * math.pi / 2 for k in (1, 3, 5, 7, 21, 101)]
+
 
 def test_variant_residual_reference_points():
     # sin form at z = pi leaves only the linear term
@@ -81,7 +89,7 @@ def test_sin_form_keeps_too_few_crossings(z0, valid, total):
     assert valid < count_bound_states(z0)
 
 
-@pytest.mark.parametrize("z0", [5.0, 15.0, 25.0, 40.0] + NEAR_THRESHOLD)
+@pytest.mark.parametrize("z0", [5.0, 15.0, 25.0, 40.0] + NEAR_THRESHOLD + AT_THRESHOLD)
 def test_correct_form_has_no_spurious_crossings(z0):
     report = enumerate_intersections(VariantKind.CORRECT, z0)
     assert report.n_spurious == 0
@@ -96,7 +104,7 @@ def test_crossings_are_sorted_and_confined():
         assert all(0.0 < z <= 25.0 for z in zs)
 
 
-@pytest.mark.parametrize("z0", [25.0, SIN_TANGENT_Z0] + NEAR_THRESHOLD)
+@pytest.mark.parametrize("z0", [25.0, SIN_TANGENT_Z0] + NEAR_THRESHOLD + ULP_ABOVE_THRESHOLD)
 @pytest.mark.parametrize("kind", list(VariantKind))
 def test_spurious_flag_matches_cot_sign(kind, z0):
     # the flag is the parity of the crossing's half-pi cell; the sign of
@@ -104,6 +112,14 @@ def test_spurious_flag_matches_cot_sign(kind, z0):
     report = enumerate_intersections(kind, z0)
     for item in report.intersections:
         assert item.spurious == (cot(item.z) > 0.0)
+
+
+@pytest.mark.parametrize("z0", AT_THRESHOLD)
+@pytest.mark.parametrize("kind", list(VariantKind))
+def test_grazing_crossing_at_a_threshold_is_not_reported(kind, z0):
+    # at z0 = k pi / 2 the line touches z0 |sin z| at z = z0 itself, on the
+    # edge between a gap cell and a band; neither cell reports it
+    assert all(i.z < z0 for i in enumerate_intersections(kind, z0).intersections)
 
 
 def test_sin_form_crosses_even_in_a_stateless_well():
