@@ -1,18 +1,14 @@
 """Root counting and the Newton solve of the spectrum in band-edge coordinates.
 
-The number of bound states follows from where the circle of radius z0
-meets the bands with cot(z) < 0: with t = 2 z0 / pi,
+The number of bound states is the number of band edges
+e_m = (2m - 1) pi / 2 below z0, each band holding one root.  At a
+threshold, where no float lies strictly between z0 and e_m, the circle is
+tangent to the band edge and the grazing intersection z = z0 carries no
+state: a root needs a float z with e_m < z < z0.  :func:`_band_frame` is
+the one place that decides it.
 
-    N = 0                 if t <= 1,
-    N = floor((t + 1)/2)  otherwise,
-
-except at the degenerate thresholds t = 3, 5, 7, ... where the circle is
-tangent to a band edge and the grazing intersection z = z0 carries no
-normalizable state, so N drops back by one.  Those thresholds are snapped
-to within 1e-12 relative.
-
-Band m is solved from its left edge e_m = (2m - 1) pi / 2, held as an exact
-pair of floats.  With eps_m = z0 - e_m and delta = z - e_m the residual
+Band m is solved from its left edge e_m, held as an exact pair of floats.
+With eps_m = z0 - e_m and delta = z - e_m the residual
 
     h_m(delta) = eps_m - delta - 2 z0 sin^2(delta / 2) = -(z - z0 |sin z|)
 
@@ -47,9 +43,6 @@ from .dimensionless import (
 )
 from .errors import ConvergenceError, DomainError
 
-# relative snap width for the tangency thresholds 2 z0 / pi = 3, 5, 7, ...
-_THRESHOLD_SNAP = 1e-12
-
 # pi - math.pi, so that pi = math.pi + _PI_LO to about 3e-33
 _PI_LO = 1.2246467991473532e-16
 
@@ -61,8 +54,8 @@ _MIDPOINT_SAG = 2.0 * math.sin(math.pi / 8.0) ** 2
 class SolveConfig:
     """Tolerances for the Newton solve.
 
-    root_tol is the step-size target in the band's own coordinate (widened
-    to a few ulps of the iterate if it is below float resolution there).
+    root_tol is the step-size target relative to the iterate, in the band's
+    own coordinate (widened to a few ulps of it below float resolution).
     residual_tol double-checks |z - z0 |sin z|| at the accepted root.
     """
 
@@ -95,37 +88,35 @@ class NewtonTrace:
 def count_bound_states(z0: WellStrength | float) -> int:
     """Number of bound states held by a well of strength z0.
 
-    Always at least one for z0 > pi/2; exactly zero at and below pi/2.
-    At the degenerate thresholds z0 = m pi / 2 (odd m > 1) the grazing
-    solution z = z0 is excluded, which lowers the count by one relative
-    to the generic formula.
+    The number of bands m with eps_m = z0 - (2m - 1) pi / 2 > 0 in
+    :func:`_band_frame`, which is 0 at a threshold: none at and below pi/2.
+    The estimate round(z0 / pi) is corrected by the frames of its band and
+    the next.  Above about 1.4e16, where 2m - 1 is no longer exact as a
+    float, the count is only as exact as z0 / pi in float.
     """
     v = strength_value(z0)
-    t = 2.0 * v / math.pi
-    if t <= 1.0:
-        return 0
-    nearest = round(t)
-    if (
-        nearest % 2 == 1
-        and nearest > 1
-        and abs(t - nearest) <= _THRESHOLD_SNAP * max(1.0, t)
-    ):
-        return (nearest - 1) // 2
-    return int(math.floor((t + 1.0) / 2.0))
+    n = round(v / math.pi)
+    if n >= 2**52:
+        return n
+    if _band_frame(n + 1, v)[2] > 0.0:
+        return n + 1
+    return n if n == 0 or _band_frame(n, v)[2] > 0.0 else n - 1
 
 
 def bracket_for(m: int, z0: WellStrength | float) -> tuple[float, float]:
     """Open interval ((2m - 1) pi / 2, m pi) holding the m-th root.
 
-    Raises DomainError when m exceeds the state count for this z0, since
-    the band then holds no root.
+    Raises DomainError when band m holds no root for this z0, that is when
+    z0 lies at or below the band's left edge.
     """
     v = strength_value(z0)
     _check_int("interval index", m, 1)
-    n = count_bound_states(v)
-    if m > n:
+    # m - 1 < z0 / pi compares exactly, so a huge m never reaches the frame;
+    # the count only words the error
+    if not (m - 1 < v / math.pi and _band_frame(m, v)[2] > 0.0):
         raise DomainError(
-            f"band m={m} holds no root: z0={v!r} supports {n} bound state(s)"
+            f"band m={m} holds no root: z0={v!r} supports "
+            f"{count_bound_states(v)} bound state(s)"
         )
     return _band_edges(m)
 
@@ -145,15 +136,17 @@ def _band_frame(m: int, v: float) -> tuple[float, float, float]:
     # band m's left edge e_m = (2m - 1) pi / 2 = hi + lo, hi the float nearest
     # it, to about 1e-32 relative: (2m - 1) math.pi is its rounded product
     # plus the exact error (Dekker's two-product), which (2m - 1)(pi - math.pi)
-    # joins.  Also eps_m = z0 - e_m, 0 for a z0 on hi: that z0 is the
-    # threshold, whose grazing root z = z0 is no root.
+    # joins.  Also eps_m = z0 - e_m, 0 at the threshold: z0 is hi or the
+    # float past hi toward e_m, so that no float lies strictly between z0
+    # and e_m and no root z can satisfy e_m < z < z0.
     x = float(2 * m - 1)
     p = x * math.pi
     (xh, xl), (ph, pl) = _split(x), _PI_SPLIT
     err = ((xh * ph - p) + xh * pl + xl * ph) + xl * pl + x * _PI_LO
     hi = p + err
     e_hi, e_lo = 0.5 * hi, 0.5 * (err - (hi - p))
-    return e_hi, e_lo, 0.0 if v == e_hi else (v - e_hi) - e_lo
+    at = v == e_hi or v == math.nextafter(e_hi, math.copysign(math.inf, e_lo))
+    return e_hi, e_lo, 0.0 if at else (v - e_hi) - e_lo
 
 
 def _newton(
@@ -169,7 +162,7 @@ def _newton(
     x is delta = z - e_m, on h(delta) = eps - delta - 2 z0 sin^2(delta / 2);
     given m_pi, m pi = hi + lo, x is theta = m pi - z instead, on
     theta + z0 sin(theta) - m pi.  Both are -(z - z0 |sin z|).  Stops when
-    the step drops below config.root_tol or 4 ulps of x, then certifies the
+    the step drops below root_tol |x| or 4 ulps of x, then certifies the
     residual against residual_tol (widened for a loose root_tol) plus its
     rounding floor: |slope| ulp(x), and a few ulp(z0) from terms up to z0.
     """
@@ -186,7 +179,7 @@ def _newton(
             s = sin(0.5 * x)
             fx = eps - x - 2.0 * v * s * s
             dfx = -1.0 - v * sin(x)
-        if abs(step) < root_tol or abs(step) < 4.0 * math.ulp(x):
+        if abs(step) < root_tol * abs(x) or abs(step) < 4.0 * math.ulp(x):
             break
         step = fx / dfx if fx else 0.0
         if x - step == x:
@@ -228,8 +221,8 @@ def _band_root(
         z_tilde = v * math.sin(deltas[-1])
     zs[0] = start
     # E < V0: a root within half an ulp of z0 is reported one ulp below it,
-    # unless z0 is the first float above the band's edge
-    if zs[-1] == v and math.nextafter(v, 0.0) > e_hi:
+    # which the threshold rule of _band_frame keeps above e_m
+    if zs[-1] == v:
         zs[-1] = math.nextafter(v, 0.0)
     return zs[-1], z_tilde, zs
 

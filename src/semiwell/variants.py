@@ -37,7 +37,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .dimensionless import _HALF_PI, WellStrength, _band_edges, strength_value
+from .dimensionless import _HALF_PI, WellStrength, strength_value
 from .errors import DomainError
 from .solver import SolveConfig, _band_frame, _band_root, _newton, count_bound_states
 
@@ -127,9 +127,10 @@ def enumerate_intersections(
     cell below z0 on which g = +|sin z| holds at most two; the signs of
     z - z0 |sin z| at the ends of the cell's monotone pieces count them
     exactly, and a crossing on a band is the band solve's root (see the
-    module docstring).  At a threshold, z0 on the float nearest k pi/2,
-    the grazing crossing z = z0 is not reported.  A crossing between the
-    bands, where cot(z) > 0 and the original equation fails, is spurious.
+    module docstring).  At a threshold, where no float lies strictly
+    between z0 and k pi/2, the grazing crossing z = z0 is not reported.  A
+    crossing between the bands, where cot(z) > 0 and the original equation
+    fails, is spurious.
     """
     v = strength_value(z0)
     config = SolveConfig()
@@ -154,15 +155,12 @@ def enumerate_intersections(
 def filtered_equivalence(kind: VariantKind, z0: WellStrength | float) -> bool:
     """Does discarding spurious crossings recover the true spectrum?
 
-    A count check: True when the bands 1..N of the N bound states keep one
-    crossing each.  A genuine crossing is the band solve's root, so it
-    cannot disagree with the spectrum in value.  NEG_SIN fails by losing
-    entire bands; any form with a crossing in band N + 1 (just above a
-    tangency threshold, inside the snap of the count) fails too.
+    True when g = +|sin z| on each band 1..N of the N bound states: those
+    bands, and no others, hold a genuine crossing, the band solve's root
+    (see :func:`enumerate_intersections`), so it cannot disagree with the
+    spectrum in value.  NEG_SIN fails by losing entire bands, SIN by losing
+    every even one.
     """
-    v = strength_value(z0)
-    kept = enumerate_intersections(kind, v).genuine_roots()
-    n = count_bound_states(v)
-    # the kept roots lie one per band in increasing z, so n of them that
-    # end in band n are the bands 1..n
-    return len(kept) == n and (n == 0 or kept[-1] < _band_edges(n)[1])
+    g = _G[kind]
+    n = count_bound_states(z0)
+    return all(g((m - 0.25) * math.pi) > 0.0 for m in range(1, n + 1))

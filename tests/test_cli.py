@@ -84,6 +84,20 @@ def test_solve_of_stateless_well_returns_empty_list(capsys):
     assert doc["results"]["roots"] == []
 
 
+def test_solve_one_float_above_the_first_edge_returns_empty_list(capsys):
+    # no float lies strictly between pi/2 and this z0, so no state fits
+    code, out, _ = invoke(capsys, "solve", "--z0", "1.5707963267948968")
+    assert code == 0
+    assert json.loads(out)["results"] == {"count": 0, "roots": []}
+
+
+def test_count_answers_at_any_depth(capsys):
+    code, out, _ = invoke(capsys, "count", "--z0", "1e308")
+    assert code == 0
+    count = json.loads(out)["results"]["count"]
+    assert isinstance(count, int) and count > 10**307
+
+
 def test_exact_command(capsys):
     code, out, _ = invoke(capsys, "exact", "--n", "0")
     assert code == 0
@@ -217,7 +231,12 @@ def test_domain_errors_exit_1(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("solve", "--z0", "1e6"), ("variants", "--kind", "abs-sin", "--z0", "1e9")],
+    [
+        ("solve", "--z0", "1e6"),
+        ("variants", "--kind", "abs-sin", "--z0", "1e9"),
+        ("solve", "--z0", "1e308"),
+        ("variants", "--kind", "sin", "--z0", "1e308"),
+    ],
 )
 def test_deep_enumeration_is_refused_before_it_starts(capsys, argv):
     code, out, err = invoke(capsys, *argv)

@@ -7,6 +7,7 @@ sqrt(z0^2 - z^2) = -z cot(z), rounded to 17 digits.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,10 @@ ITERATES_25_4 = [
         (25.0, 8),
         (40.0, 13),
         (1e4, 3183),
+        # frozen: the exact count, 50-digit mpmath
+        (21 * math.pi / 2 + 1e-11, 11),  # band 11 opens 1e-11 below z0
+        (1e15, 318_309_886_183_791),
+        (math.nextafter(math.pi / 2, 4.0), 0),  # no float between pi/2 and z0
     ],
 )
 def test_count_bound_states(z0, expected):
@@ -92,13 +97,44 @@ def test_count_bound_states(z0, expected):
 
 def test_count_snaps_to_degenerate_threshold():
     z0 = 5 * math.pi / 2
-    assert count_bound_states(z0 * (1 + 1e-13)) == 2  # inside the snap band
-    assert count_bound_states(z0 * (1 + 1e-9)) == 3  # outside it
+    # about 880 ulp above the threshold: floats lie between it and z0, so the
+    # third band holds a state; only the floats next to it are the threshold
+    assert count_bound_states(z0 * (1 + 1e-13)) == 3
+    assert count_bound_states(z0 * (1 + 1e-9)) == 3
     assert count_bound_states(z0 * (1 - 1e-9)) == 2
 
 
 def test_count_accepts_strength_object():
     assert count_bound_states(WellStrength(15.0)) == 5
+
+
+def _one_float_count(z0):
+    # band m holds a state when a float z fits between its edge and z0,
+    # e_m < z < z0: the number of m with e_m below the float under z0
+    pi = Fraction(math.pi) + Fraction(PI_LO)
+    return math.floor(Fraction(math.nextafter(z0, 0.0)) / pi + Fraction(1, 2))
+
+
+@given(z0=st.floats(min_value=0.05, max_value=1e15))
+@settings(max_examples=300, deadline=None)
+def test_count_is_the_one_float_rule(z0):
+    assert count_bound_states(z0) == _one_float_count(z0)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 21, 101, 1001, 2 * 10**6 - 1])
+def test_count_is_the_one_float_rule_around_thresholds(k):
+    z0 = k * math.pi / 2
+    for _ in range(3):
+        z0 = math.nextafter(z0, 0.0)
+    for _ in range(7):
+        assert count_bound_states(z0) == _one_float_count(z0)
+        z0 = math.nextafter(z0, math.inf)
+
+
+def test_count_answers_at_any_depth():
+    # z0 / pi is finite where 2 z0 / pi overflows
+    n = count_bound_states(sys.float_info.max)
+    assert isinstance(n, int) and n > 10**307
 
 
 def test_bracket_for_bounds():
@@ -124,6 +160,8 @@ def test_bracket_for_rejects_empty_bands():
         bracket_for(1, 1.0)
     with pytest.raises(DomainError):
         bracket_for(0, 15.0)
+    with pytest.raises(DomainError):
+        bracket_for(10**400, 15.0)  # no float holds 2m - 1
 
 
 def test_solve_config_validation():
@@ -216,6 +254,8 @@ def test_solve_all_z0_25_matches_frozen_roots():
 def test_solve_all_empty_below_critical_strength():
     assert solve_all(1.0) == []
     assert solve_all(math.pi / 2) == []
+    # the state would need a float z strictly between pi/2 and z0
+    assert solve_all(math.nextafter(math.pi / 2, 4.0)) == []
 
 
 @pytest.mark.parametrize("z0", [5.0, 15.0, 25.0, 40.0])
@@ -316,7 +356,7 @@ def _replayed_iterates(m, z0, config=SolveConfig()):
         step = fx / dfx
         x -= step
         iterates.append(to_z(x))
-        if abs(step) < max(config.root_tol, 4.0 * math.ulp(x)):
+        if abs(step) < max(config.root_tol * abs(x), 4.0 * math.ulp(x)):
             break
     return iterates
 
@@ -345,7 +385,8 @@ def test_trace_iterates_are_those_of_residual_interval(z0, bands):
 
 def test_band_edges_are_exact_pairs():
     # hi is the float nearest e_m = (2m - 1) pi / 2 and hi + lo carries it
-    # to about 1e-32 relative; eps = z0 - e_m, and 0 on hi itself
+    # to about 1e-32 relative; eps = z0 - e_m, and 0 on the two floats next
+    # to e_m (hi is one), where no float lies strictly between z0 and e_m
     pi = Fraction(math.pi) + Fraction(PI_LO)
     ms = list(range(1, 200)) + [500_001, 2**40 + 3, 318_309_886_184, 2**52 - 1]
     for m in ms:
@@ -353,13 +394,17 @@ def test_band_edges_are_exact_pairs():
         hi, lo, eps = _band_frame(m, 1e300)
         assert hi == float(exact)
         assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * 2**-104
+        side = math.inf if Fraction(hi) < exact else -math.inf
+        below, above = sorted([hi, math.nextafter(hi, side)])
+        assert Fraction(below) < exact < Fraction(above)
+        assert _band_frame(m, below)[2] == 0.0 == _band_frame(m, above)[2]
         assert _band_frame(m, hi)[2] == 0.0
-        assert _band_frame(m, math.nextafter(hi, math.inf))[2] > 0.0 < eps
+        assert _band_frame(m, math.nextafter(above, math.inf))[2] > 0.0 < eps
 
 
 # frozen: top state at z0 = k pi / 2 + d, 50-digit mpmath
-# (k, d, m, z_tilde, E/V0, P_inside); at k = 7 and 21 with d = 1e-11 the
-# count's 1e-12 snap drops the grazing state, so the top state is m - 1's
+# (k, d, m, z_tilde, E/V0, P_inside); the top state is that of the band
+# whose edge k pi / 2 lies just below z0, which grazes z0
 THRESHOLD_TOP_STATES = [
     (3, 1e-11, 2, 4.7123028050072555e-11, 1.0, 4.7123028047951975e-11),
     (3, 1e-09, 2, 4.712388494534388e-09, 1.0, 4.712388473327782e-09),
@@ -367,10 +412,10 @@ THRESHOLD_TOP_STATES = [
     (5, 1e-11, 3, 7.853741824680715e-11, 1.0, 7.853741824073902e-11),
     (5, 1e-09, 3, 7.85397984938497e-09, 1.0, 7.85397978869997e-09),
     (5, 1e-07, 3, 7.853978647704581e-07, 0.99999999999999, 7.853972579211208e-07),
-    (7, 1e-11, 3, 6.93106071267715, 0.6026588247007294, 0.9240128342811159),
+    (7, 1e-11, 4, 1.0994127294248412e-10, 1.0, 1.09941272930497e-10),
     (7, 1e-09, 4, 1.0995570424897688e-08, 1.0, 1.0995570304995119e-08),
     (7, 1e-07, 4, 1.0995568228483006e-06, 0.99999999999999, 1.0995556238244012e-06),
-    (21, 1e-11, 10, 13.143854230611746, 0.8412304826848643, 0.9405232499593938),
+    (21, 1e-11, 11, 3.297955408318027e-10, 1.0, 3.297955407231376e-10),
     (21, 1e-09, 11, 3.2986624035838264e-08, 1.0, 3.298662294872093e-08),
     (21, 1e-07, 11, 3.2986669103954427e-06, 0.99999999999999, 3.2986560392278846e-06),
 ]
@@ -392,13 +437,14 @@ def test_top_state_just_above_a_threshold(k, d, m, z_tilde, ratio, p_inside):
 
 def test_top_band_of_a_very_deep_well():
     # frozen, 50-digit mpmath: the root sits 1.35e-6 inside the band's left
-    # edge, nearer the float of the edge than the next float up; z_tilde is
-    # good to the step tolerance's quadratic remainder, about 3e-13 relative
+    # edge, nearer the float of the edge than the next float up; the step
+    # tolerance is relative to delta, so z_tilde = z0 sin(delta) keeps
+    # delta's full relative precision
     m = 318_309_886_184
     state, trace = newton_solve(m, 1e12)
     assert trace.converged
     assert abs(state.z - 999999999999.0868) <= math.ulp(state.z)
-    assert state.z_tilde == pytest.approx(1351421.633862696, rel=1e-12)
+    assert state.z_tilde == pytest.approx(1351421.633862696, rel=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -118,7 +118,7 @@ def test_critical_depth_separates_empty_from_occupied(factor, expected_states):
 
 def test_count_at_exactly_critical_depth_is_zero():
     vc = critical_depth(0.5, 1.0, hbar=1.0)
-    # z0 = pi/2 up to roundoff; the threshold snap keeps the count at zero
+    # z0 = pi/2 up to roundoff, within one float of it: no state fits
     assert count_bound_states(strength_from_physical(natural_well(vc))) == 0
 
 

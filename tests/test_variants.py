@@ -31,8 +31,8 @@ SIN_TANGENT_Z0 = 7.789805767492725
 NEAR_THRESHOLD = [k * math.pi / 2 + d for k in (3, 5, 7, 21) for d in (1e-9, 1e-7)]
 
 # one ulp above the float nearest k pi / 2, which lies below k pi / 2 for
-# these k: no float lies between k pi / 2 and z0, so the band's crossing is
-# z0 itself, never the float below the threshold
+# these k: no float lies between k pi / 2 and z0, so z0 is that threshold,
+# whose grazing crossing z = z0 is not reported
 ULP_ABOVE_THRESHOLD = [math.nextafter(k * math.pi / 2, math.inf) for k in (1, 3, 5, 7, 101)]
 
 # the floats nearest k pi / 2, taken as the thresholds themselves
@@ -114,7 +114,7 @@ def test_spurious_flag_matches_cot_sign(kind, z0):
         assert item.spurious == (cot(item.z) > 0.0)
 
 
-@pytest.mark.parametrize("z0", AT_THRESHOLD)
+@pytest.mark.parametrize("z0", AT_THRESHOLD + ULP_ABOVE_THRESHOLD)
 @pytest.mark.parametrize("kind", list(VariantKind))
 def test_grazing_crossing_at_a_threshold_is_not_reported(kind, z0):
     # at z0 = k pi / 2 the line touches z0 |sin z| at z = z0 itself, on the
@@ -180,3 +180,9 @@ def test_crossings_split_cleanly_across_forms(z0):
     correct = enumerate_intersections(VariantKind.CORRECT, z0)
     assert [i.z for i in correct.intersections] == abs_sin.genuine_roots()
     assert correct.n_total == count_bound_states(z0)
+    # the scan is the reference for the verdict: filtering recovers the
+    # spectrum exactly when the genuine crossings are solve_all's roots
+    roots = [s.z for s in solve_all(z0)]
+    for kind in VariantKind:
+        genuine = enumerate_intersections(kind, z0).genuine_roots()
+        assert filtered_equivalence(kind, z0) == (genuine == roots)
