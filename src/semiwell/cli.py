@@ -187,16 +187,7 @@ def _solve_payload(
         max_residual = max(max_residual, abs(res))
         iters = len(iterates) - 1
         iters_total += iters
-        roots.append(
-            {
-                "m": state.m,
-                "z": state.z,
-                "z_tilde": state.z_tilde,
-                "energy_ratio": state.energy_ratio,
-                "residual": res,
-                "newton_iters": iters,
-            }
-        )
+        roots.append({**state._asdict(), "residual": res, "newton_iters": iters})
     results = {"count": n, "roots": roots}
     diagnostics = {
         "newton_iters_total": iters_total,
@@ -227,18 +218,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
     if args.cmd == "exact":
         record = exact_solution(args.n)
         return OutputDocument(
-            command="exact",
-            inputs={"n": args.n},
-            results={
-                "n": record.n,
-                "z": record.z,
-                "z0": record.z0,
-                "z_tilde": record.z_tilde,
-                "energy_over_v0": record.energy_over_v0,
-                "v0_natural": record.v0_natural,
-                "amplitude_sq_times_a": record.amplitude_sq_times_a,
-                "p_inside": record.p_inside,
-            },
+            command="exact", inputs={"n": args.n}, results=record._asdict()
         )
 
     if args.cmd == "wavefn":
@@ -265,15 +245,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
             command="wavefn",
             inputs=inputs,
             results={
-                "m": state.m,
-                "z": state.z,
-                "z_tilde": state.z_tilde,
-                "energy_ratio": state.energy_ratio,
-                "a": spec.a,
-                "k": spec.k,
-                "k_tilde": spec.k_tilde,
-                "amplitude": spec.amplitude,
-                "outside_coeff": spec.outside_coeff,
+                **state._asdict(),
+                **spec._asdict(),
                 "probability_inside": probability_inside(spec),
                 "points": points,
             },

@@ -18,7 +18,7 @@ units enter only through :mod:`semiwell.units`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -29,14 +29,28 @@ _SIN_GUARD = 1e-300
 _HALF_PI = math.pi / 2.0
 
 
-@dataclass(frozen=True)
-class WellStrength:
+def _validated_make(cls, iterable):
+    # namedtuple's _make, which _replace builds through, skips __new__ and
+    # so the checks; a validated record's _make goes through the constructor
+    return cls(*iterable)
+
+
+class WellStrength(namedtuple("WellStrength", "z0")):
     """Dimensionless well depth z0 = sqrt(2 m V0 a^2) / hbar."""
 
-    z0: float
+    __slots__ = ()
 
+    def __new__(cls, z0: float) -> WellStrength:
+        self = tuple.__new__(cls, (z0,))
+        self.__post_init__()
+        return self
+
+    # the check keeps its own method, under which bench/tracing.py counts
+    # validations
     def __post_init__(self) -> None:
         _check_strength(self.z0)
+
+    _make = classmethod(_validated_make)
 
 
 def _check_strength(v: float) -> None:
@@ -64,33 +78,32 @@ def _band_edges(m: int) -> tuple[float, float]:
     return ((2 * m - 1) * _HALF_PI, m * math.pi)
 
 
-@dataclass(frozen=True)
-class BoundState:
+class BoundState(namedtuple("BoundState", "m z z_tilde energy_ratio")):
     """A single bound state: interval index m, root z, decay constant z_tilde.
 
     The root lies strictly inside the m-th band ((2m - 1) pi / 2, m pi),
     the only places the eigenvalue equation can balance; its float may be
     that of an edge, where a root within half an ulp of the edge rounds.
+    The band check already certifies E > 0, so energy_ratio may be 0.0,
+    where (z / z0)^2 underflows (z0 above about 1.6e162).
     """
 
-    m: int
-    z: float
-    z_tilde: float
-    energy_ratio: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_int("interval index", self.m, 1)
-        lo, hi = _band_edges(self.m)
-        if not lo <= self.z <= hi:
-            raise DomainError(
-                f"z={self.z!r} outside interval [{lo!r}, {hi!r}] for m={self.m}"
-            )
-        if not self.z_tilde > 0.0:
-            raise DomainError(f"decay constant must be positive, got {self.z_tilde!r}")
-        if not 0.0 < self.energy_ratio < 1.0:
-            raise DomainError(
-                f"bound state needs 0 < E/V0 < 1, got {self.energy_ratio!r}"
-            )
+    def __new__(
+        cls, m: int, z: float, z_tilde: float, energy_ratio: float
+    ) -> BoundState:
+        _check_int("interval index", m, 1)
+        lo, hi = _band_edges(m)
+        if not lo <= z <= hi:
+            raise DomainError(f"z={z!r} outside interval [{lo!r}, {hi!r}] for m={m}")
+        if not z_tilde > 0.0:
+            raise DomainError(f"decay constant must be positive, got {z_tilde!r}")
+        if not 0.0 <= energy_ratio < 1.0:
+            raise DomainError(f"bound state needs 0 < E/V0 < 1, got {energy_ratio!r}")
+        return tuple.__new__(cls, (m, z, z_tilde, energy_ratio))
+
+    _make = classmethod(_validated_make)
 
 
 def cot(z: float) -> float:

@@ -19,14 +19,15 @@ eigenstates of different wells, never a ladder of levels in a single one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dimensionless import _check_int
 from .solver import SolveConfig, newton_solve
 
+_EXACT_FIELDS = "n z z0 z_tilde energy_over_v0 v0_natural amplitude_sq_times_a p_inside"
 
-@dataclass(frozen=True)
-class ExactSolutionRecord:
+
+class ExactSolutionRecord(namedtuple("ExactSolutionRecord", _EXACT_FIELDS)):
     """Closed-form data for family member n.
 
     amplitude_sq_times_a is A^2 a, the squared normalization constant made
@@ -34,14 +35,7 @@ class ExactSolutionRecord:
     finding the particle inside [0, a].
     """
 
-    n: int
-    z: float
-    z0: float
-    z_tilde: float
-    energy_over_v0: float
-    v0_natural: float
-    amplitude_sq_times_a: float
-    p_inside: float
+    __slots__ = ()
 
 
 def exact_solution(n: int) -> ExactSolutionRecord:

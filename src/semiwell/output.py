@@ -14,11 +14,9 @@ and evaluates the one chosen function over the whole grid.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Any, Callable
 
 from .dimensionless import WellStrength, _check_int, cot, strength_value
@@ -30,16 +28,31 @@ SCHEMA_VERSION = "1"
 # cot curve samples this close to a pole of cot are dropped
 _POLE_BAND = 1e-6
 
+_DOCUMENT_FIELDS = "command inputs results diagnostics schema_version"
 
-@dataclass(frozen=True)
-class OutputDocument:
-    """One CLI result: envelope fields plus per-command payload."""
 
-    command: str
-    inputs: dict[str, Any]
-    results: dict[str, Any]
-    diagnostics: dict[str, Any] = field(default_factory=dict)
-    schema_version: str = SCHEMA_VERSION
+class OutputDocument(namedtuple("OutputDocument", _DOCUMENT_FIELDS)):
+    """One CLI result: envelope fields plus per-command payload.
+
+    inputs, results and diagnostics are dicts; diagnostics defaults to a
+    new empty one.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        command: str,
+        inputs: dict[str, Any],
+        results: dict[str, Any],
+        diagnostics: dict[str, Any] | None = None,
+        schema_version: str = SCHEMA_VERSION,
+    ) -> OutputDocument:
+        if diagnostics is None:
+            diagnostics = {}
+        return tuple.__new__(
+            cls, (command, inputs, results, diagnostics, schema_version)
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -123,17 +136,8 @@ def _csv_table(doc: OutputDocument) -> tuple[list[str], list[list[Any]]]:
         header = ["m", "z", "z_tilde", "energy_ratio", "residual", "newton_iters"]
         return header, [[row[h] for h in header] for row in r["roots"]]
     if doc.command == "exact":
-        header = [
-            "n",
-            "z",
-            "z0",
-            "z_tilde",
-            "energy_over_v0",
-            "v0_natural",
-            "amplitude_sq_times_a",
-            "p_inside",
-        ]
-        return header, [[r[h] for h in header]]
+        # the results are the fields of ExactSolutionRecord, in order
+        return list(r), [list(r.values())]
     if doc.command == "variants":
         header = ["position", "z", "spurious"]
         return header, [[row[h] for h in header] for row in r["intersections"]]
@@ -152,13 +156,12 @@ def serialize(doc: OutputDocument, fmt: str) -> bytes:
         out.append("\n")
         return "".join(out).encode("utf-8")
     if fmt == "csv":
+        # every cell is a fixed header name, an int, a float or a bool, so
+        # none needs quoting
         header, rows = _csv_table(doc)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-        return buf.getvalue().encode("utf-8")
+        lines = [",".join(header)]
+        lines += [",".join([_cell(v) for v in row]) for row in rows]
+        return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unsupported output format {fmt!r}")
 
 

@@ -31,7 +31,7 @@ Every routine here is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dimensionless import (
     _HALF_PI,
@@ -39,6 +39,7 @@ from .dimensionless import (
     WellStrength,
     _band_edges,
     _check_int,
+    _validated_make,
     strength_value,
 )
 from .errors import ConvergenceError, DomainError
@@ -50,8 +51,7 @@ _PI_LO = 1.2246467991473532e-16
 _MIDPOINT_SAG = 2.0 * math.sin(math.pi / 8.0) ** 2
 
 
-@dataclass(frozen=True)
-class SolveConfig:
+class SolveConfig(namedtuple("SolveConfig", "root_tol residual_tol max_newton_iters")):
     """Tolerances for the Newton solve.
 
     root_tol is the step-size target relative to the iterate, in the band's
@@ -59,30 +59,32 @@ class SolveConfig:
     residual_tol double-checks |z - z0 |sin z|| at the accepted root.
     """
 
-    root_tol: float = 1e-12
-    residual_tol: float = 1e-9
-    max_newton_iters: int = 50
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.root_tol) and self.root_tol > 0.0):
-            raise DomainError(f"root_tol must be positive, got {self.root_tol!r}")
-        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0.0):
-            raise DomainError(
-                f"residual_tol must be positive, got {self.residual_tol!r}"
-            )
-        _check_int("max_newton_iters", self.max_newton_iters, 1)
+    def __new__(
+        cls,
+        root_tol: float = 1e-12,
+        residual_tol: float = 1e-9,
+        max_newton_iters: int = 50,
+    ) -> SolveConfig:
+        if not (math.isfinite(root_tol) and root_tol > 0.0):
+            raise DomainError(f"root_tol must be positive, got {root_tol!r}")
+        if not (math.isfinite(residual_tol) and residual_tol > 0.0):
+            raise DomainError(f"residual_tol must be positive, got {residual_tol!r}")
+        _check_int("max_newton_iters", max_newton_iters, 1)
+        return tuple.__new__(cls, (root_tol, residual_tol, max_newton_iters))
+
+    _make = classmethod(_validated_make)
 
 
-@dataclass(frozen=True)
-class NewtonTrace:
+class NewtonTrace(namedtuple("NewtonTrace", "iterates converged fallback_bisections")):
     """Iterate history of one root solve in z, from the band midpoint.
 
-    fallback_bisections is always 0: no Newton step needs a safeguard.
+    iterates is a tuple of floats; fallback_bisections is always 0: no
+    Newton step needs a safeguard.
     """
 
-    iterates: tuple[float, ...]
-    converged: bool
-    fallback_bisections: int
+    __slots__ = ()
 
 
 def count_bound_states(z0: WellStrength | float) -> int:

@@ -7,9 +7,9 @@ unit systems (hbar = 1) coexist with SI in one process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .dimensionless import WellStrength
+from .dimensionless import WellStrength, _validated_make
 from .errors import DomainError
 
 HBAR_SI = 1.054571817e-34  # J s
@@ -18,24 +18,21 @@ EV_SI = 1.602176634e-19  # J
 NM_SI = 1e-9  # m
 
 
-@dataclass(frozen=True)
-class PhysicalWell:
+class PhysicalWell(namedtuple("PhysicalWell", "mass width_a depth_v0 hbar")):
     """Particle mass, well width and depth in mutually consistent units."""
 
-    mass: float
-    width_a: float
-    depth_v0: float
-    hbar: float = HBAR_SI
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for label, value in (
-            ("mass", self.mass),
-            ("width_a", self.width_a),
-            ("depth_v0", self.depth_v0),
-            ("hbar", self.hbar),
-        ):
+    def __new__(
+        cls, mass: float, width_a: float, depth_v0: float, hbar: float = HBAR_SI
+    ) -> PhysicalWell:
+        self = tuple.__new__(cls, (mass, width_a, depth_v0, hbar))
+        for label, value in zip(self._fields, self):
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"{label} must be finite and positive, got {value!r}")
+        return self
+
+    _make = classmethod(_validated_make)
 
 
 def strength_from_physical(well: PhysicalWell) -> WellStrength:

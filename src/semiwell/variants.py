@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dimensionless import _HALF_PI, WellStrength, strength_value
 from .errors import DomainError
@@ -67,18 +67,16 @@ def variant_residual(kind: VariantKind, z: float, z0: WellStrength | float) -> f
     return z - v * _G[kind](z)
 
 
-@dataclass(frozen=True)
-class Intersection:
+class Intersection(namedtuple("Intersection", "z spurious")):
     """One crossing of y = z with y = z0 g(z), flagged if non-physical."""
 
-    z: float
-    spurious: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VariantReport:
-    kind: VariantKind
-    intersections: tuple[Intersection, ...]
+class VariantReport(namedtuple("VariantReport", "kind intersections")):
+    """The crossings of one rewriting, a tuple of Intersection in increasing z."""
+
+    __slots__ = ()
 
     @property
     def n_total(self) -> int:

@@ -21,7 +21,7 @@ checking it numerically is a genuine test of the root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dimensionless import BoundState, WellStrength, strength_value
 from .errors import DomainError
@@ -36,19 +36,16 @@ _CIRCLE_SLACK = 1e-6
 _PANELS_PER_RADIAN = 32
 
 
-@dataclass(frozen=True)
-class WavefunctionSpec:
+class WavefunctionSpec(
+    namedtuple("WavefunctionSpec", "a k k_tilde amplitude outside_coeff")
+):
     """Everything needed to evaluate one normalized eigenfunction.
 
     Lengths are in units of the well width argument passed to
     :func:`build_wavefunction`; k and k_tilde carry inverse length.
     """
 
-    a: float
-    k: float
-    k_tilde: float
-    amplitude: float
-    outside_coeff: float
+    __slots__ = ()
 
 
 def build_wavefunction(
@@ -68,8 +65,9 @@ def build_wavefunction(
     zt = state.z_tilde
     if not zt > 0.0:
         raise DomainError("state is not normalizable: decay constant <= 0")
-    circle_gap = abs(z * z + zt * zt - v * v)
-    if circle_gap > _CIRCLE_SLACK * v * v:
+    # |r^2 - z0^2| = |r - z0| (r + z0), about 2 z0 |r - z0|, for the radius
+    # r = hypot(z, z_tilde), which cannot overflow as z0^2 can
+    if not abs(math.hypot(z, zt) - v) <= 0.5 * _CIRCLE_SLACK * v:
         raise DomainError(
             f"state (z={z!r}, z_tilde={zt!r}) does not belong to z0={v!r}"
         )

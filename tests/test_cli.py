@@ -158,6 +158,16 @@ def test_wavefn_command(capsys):
     assert res["points"][-1]["x"] > res["a"]
 
 
+def test_wavefn_of_an_extremely_deep_well(capsys):
+    # E/V0 underflows to 0.0 above z0 of about 1.6e162; the state stands
+    code, out, err = invoke(capsys, "wavefn", "--z0", "1e300", "--state", "1", "--samples", "2")
+    assert code == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert results["z"] == math.pi
+    assert results["energy_ratio"] == 0.0
+    assert results["k_tilde"] == 1e300
+
+
 def test_wavefn_rejects_state_beyond_count(capsys):
     code, out, err = invoke(capsys, "wavefn", "--z0", "15", "--state", "6")
     assert code == 1
@@ -245,7 +255,8 @@ def test_deep_enumeration_is_refused_before_it_starts(capsys, argv):
     assert "above the enumeration cap (100000)" in err
 
 
-def test_import_loads_only_the_standard_library():
+def modules_loaded_by_import() -> list[str]:
+    """Modules that `import semiwell` adds to sys.modules in a fresh process."""
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -253,11 +264,21 @@ def test_import_loads_only_the_standard_library():
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(semiwell.__file__).parents[1]))
-    loaded = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
-    top_level = {name.partition(".")[0] for name in loaded}
+
+
+def test_import_loads_only_the_standard_library():
+    top_level = {name.partition(".")[0] for name in modules_loaded_by_import()}
     assert top_level - set(sys.stdlib_module_names) == {"semiwell"}
+
+
+def test_import_loads_no_dataclasses_inspect_or_csv():
+    # each would cost milliseconds on every cold call
+    loaded = modules_loaded_by_import()
+    assert "semiwell" in loaded
+    assert {"dataclasses", "inspect", "csv"}.isdisjoint(loaded)
 
 
 def test_output_goes_to_file(tmp_path, capsys):

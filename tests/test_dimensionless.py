@@ -84,6 +84,16 @@ class TestBoundState:
         with pytest.raises(DomainError):
             BoundState(m=0, z=2.944, z_tilde=14.0, energy_ratio=0.1)
 
+    @pytest.mark.parametrize("bad", [-0.1, -5e-324, 1.5, math.nan])
+    def test_rejects_energy_ratio_outside_zero_to_one(self, bad):
+        with pytest.raises(DomainError, match="E/V0"):
+            BoundState(m=1, z=3.0, z_tilde=1e300, energy_ratio=bad)
+
+    def test_accepts_an_underflowed_energy_ratio(self):
+        # (z / z0)^2 is 0.0 in float once z0 passes about 1.6e162; the band
+        # check on z already certifies E > 0
+        assert BoundState(m=1, z=3.0, z_tilde=1e300, energy_ratio=0.0).energy_ratio == 0.0
+
 
 def test_cot_at_quadrant_points():
     assert cot(math.pi / 2) == pytest.approx(0.0, abs=1e-15)

@@ -17,9 +17,12 @@ from semiwell import (
     VariantKind,
     curve_value,
     emit_curves,
+    exact_solution,
     format_float,
     serialize,
 )
+from semiwell.cli import _dispatch, build_parser
+from semiwell.output import _cell, _csv_table
 
 
 def sample_doc() -> OutputDocument:
@@ -96,6 +99,57 @@ def test_csv_uses_unix_line_endings():
     payload = serialize(sample_doc(), "csv")
     assert b"\r" not in payload
     assert payload.endswith(b"\n")
+
+
+def csv_writer_bytes(doc: OutputDocument) -> bytes:
+    # the table written by the standard library's csv module, the reference
+    header, rows = _csv_table(doc)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_cell(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --z0 15",
+        "count --z0 1.0",
+        "solve --z0 25",
+        "solve --z0 1.0",
+        "solve --mass 1 --width 1 --depth 1 --units ev-nm",
+        "exact --n 3",
+        "wavefn --z0 15 --state 2 --samples 50",
+        "variants --kind sin --z0 25",
+        "variants --kind neg-sin --z0 1.0",
+        "curves --kind cot --z0 15 --samples 64",
+        "curves --kind circle --z0 15 --samples 64",
+    ],
+)
+def test_csv_is_byte_for_byte_the_csv_module_table(argv):
+    parser = build_parser()
+    args = parser.parse_args(argv.split())
+    doc = _dispatch(parser, args)
+    assert serialize(doc, "csv") == csv_writer_bytes(doc)
+
+
+def test_exact_csv_columns_are_the_record_fields():
+    parser = build_parser()
+    doc = _dispatch(parser, parser.parse_args(["exact", "--n", "3"]))
+    rows = list(csv.reader(io.StringIO(serialize(doc, "csv").decode())))
+    assert rows[0] == [
+        "n",
+        "z",
+        "z0",
+        "z_tilde",
+        "energy_over_v0",
+        "v0_natural",
+        "amplitude_sq_times_a",
+        "p_inside",
+    ]
+    assert rows[1] == [_cell(v) for v in exact_solution(3)]
 
 
 def test_variant_doc_booleans():

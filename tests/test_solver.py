@@ -447,6 +447,19 @@ def test_top_band_of_a_very_deep_well():
     assert state.z_tilde == pytest.approx(1351421.633862696, rel=1e-15)
 
 
+@pytest.mark.parametrize("z0", [1e160, 1e300])
+def test_ground_state_of_an_extremely_deep_well(z0):
+    # the root is pi (1 - 1/z0) to first order, so its float is math.pi;
+    # E/V0 = (z / z0)^2 underflows to 0.0 above z0 of about 1.6e162, which
+    # the state accepts since its band already certifies E > 0
+    state, trace = newton_solve(1, z0)
+    assert trace.converged
+    assert state.z == math.pi
+    assert state.z_tilde == pytest.approx(z0, rel=1e-15)
+    assert state.energy_ratio == (math.pi / z0) ** 2
+    assert (state.energy_ratio == 0.0) is (z0 == 1e300)
+
+
 @pytest.mark.parametrize(
     "z0,bands",
     [

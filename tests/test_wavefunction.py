@@ -7,7 +7,6 @@ evaluation of the closed-form family member n = 0 with a = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -94,6 +93,19 @@ def test_build_rejects_mismatched_strength():
         build_wavefunction(state, 25.0)
 
 
+def test_circle_check_holds_where_z0_squared_overflows():
+    # z0^2 is inf above about 1.34e154, where z^2 + z_tilde^2 - z0^2 would be
+    # nan and let any state through; the check compares radii instead
+    state, _ = newton_solve(1, 1e160)
+    assert build_wavefunction(state, 1e160).k_tilde == pytest.approx(1e160, rel=1e-15)
+    with pytest.raises(DomainError, match="does not belong"):
+        build_wavefunction(state, 1e200)
+    with pytest.raises(DomainError, match="does not belong"):
+        build_wavefunction(state, 1e160 * (1.0 + 2e-6))
+    # within the slack of 1e-6 of z0^2 on the squared radius
+    build_wavefunction(state, 1e160 * (1.0 + 4e-7))
+
+
 def test_build_rejects_bad_width():
     state, z0 = family_state(0)
     for bad in (0.0, -1.0, math.inf):
@@ -131,8 +143,8 @@ def test_quadrature_scales_with_squared_amplitude():
     # silently reusing the closed-form normalization
     state, z0 = family_state(0)
     spec = build_wavefunction(state, z0, a=1.0)
-    doubled = replace(
-        spec, amplitude=2.0 * spec.amplitude, outside_coeff=2.0 * spec.outside_coeff
+    doubled = spec._replace(
+        amplitude=2.0 * spec.amplitude, outside_coeff=2.0 * spec.outside_coeff
     )
     assert quadrature_norm_check(doubled) == pytest.approx(4.0, abs=4e-8)
 
