@@ -182,10 +182,10 @@ def _solve_payload(
     max_residual = 0.0
     for m in range(1, n + 1):
         # n is the count, so every band 1..n holds a root: no per-band recount
-        state, iterates = _solve_band(m, strength.z0, config)
+        state, xs, _ = _solve_band(m, strength.z0, config)
         res = residual_exact(state.z, strength)
         max_residual = max(max_residual, abs(res))
-        iters = len(iterates) - 1
+        iters = len(xs) - 1
         iters_total += iters
         roots.append({**state._asdict(), "residual": res, "newton_iters": iters})
     results = {"count": n, "roots": roots}

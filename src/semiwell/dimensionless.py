@@ -93,7 +93,8 @@ class BoundState(namedtuple("BoundState", "m z z_tilde energy_ratio")):
     def __new__(
         cls, m: int, z: float, z_tilde: float, energy_ratio: float
     ) -> BoundState:
-        _check_int("interval index", m, 1)
+        if not (type(m) is int and m >= 1):
+            _check_int("interval index", m, 1)
         lo, hi = _band_edges(m)
         if not lo <= z <= hi:
             raise DomainError(f"z={z!r} outside interval [{lo!r}, {hi!r}] for m={m}")

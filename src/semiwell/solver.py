@@ -24,8 +24,9 @@ threshold, and on a concave residual plain Newton from the band midpoint
 Inputs are validated once per public call, where they enter; the loops
 below that run on the plain float z0.  :func:`solve_all` counts the states
 once and solves every band through the same per-band solve as
-:func:`newton_solve`, which adds the band check of :func:`bracket_for`.
-Every routine here is a pure function.
+:func:`newton_solve`, which adds the band check of :func:`bracket_for` and
+alone builds the z history of the iterates; the per-band solve turns only
+the accepted root into z.  Every routine here is a pure function.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def _newton(
     residual against residual_tol (widened for a loose root_tol) plus its
     rounding floor: |slope| ulp(x), and a few ulp(z0) from terms up to z0.
     """
-    sin, cos = math.sin, math.cos
+    sin, cos, ulp = math.sin, math.cos, math.ulp
     p_hi, p_lo = m_pi or (0.0, 0.0)
     root_tol = config.root_tol
     iterates = [x]
@@ -181,7 +182,7 @@ def _newton(
             s = sin(0.5 * x)
             fx = eps - x - 2.0 * v * s * s
             dfx = -1.0 - v * sin(x)
-        if abs(step) < root_tol * abs(x) or abs(step) < 4.0 * math.ulp(x):
+        if (size := abs(step)) < root_tol * abs(x) or size < 4.0 * ulp(x):
             break
         step = fx / dfx if fx else 0.0
         if x - step == x:
@@ -205,35 +206,32 @@ def _newton(
 
 def _band_root(
     m: int, v: float, frame: tuple[float, float, float], config: SolveConfig
-) -> tuple[float, float, list[float]]:
-    # z, z_tilde and the iterates in z of the root of band m, which holds one;
-    # frame is _band_frame(m, v)
-    e_hi, e_lo, eps = frame
+) -> tuple[float, float, list[float], tuple[float, float, float, float]]:
+    # z, z_tilde and the Newton iterates x of band m's root, with where they
+    # lie: x_0 at the float midpoint start, x_i at z = hi + (lo + s x_i)
+    hi, lo, eps = frame
     start = (4 * m - 1) * math.pi / 4.0
     if eps > 0.25 * math.pi + _MIDPOINT_SAG * v:
         # h > 0 at the midpoint: the root lies past it, nearer m pi = e_m + pi/2
-        p_hi = e_hi + _HALF_PI
-        p_lo = ((e_hi - p_hi) + _HALF_PI) + (e_lo + 0.5 * _PI_LO)
-        thetas = _newton(m, v, (p_hi - start) + p_lo, eps, (p_hi, p_lo), config)
-        zs = [p_hi + (p_lo - t) for t in thetas]
-        z_tilde = v * math.cos(thetas[-1])
+        p_hi = hi + _HALF_PI
+        hi, lo = p_hi, ((hi - p_hi) + _HALF_PI) + (lo + 0.5 * _PI_LO)
+        xs = _newton(m, v, (hi - start) + lo, eps, (hi, lo), config)
+        s, z_tilde = -1.0, v * math.cos(xs[-1])
     else:
-        deltas = _newton(m, v, (start - e_hi) - e_lo, eps, None, config)
-        zs = [e_hi + (e_lo + x) for x in deltas]
-        z_tilde = v * math.sin(deltas[-1])
-    zs[0] = start
+        xs = _newton(m, v, (start - hi) - lo, eps, None, config)
+        s, z_tilde = 1.0, v * math.sin(xs[-1])
+    z = start if len(xs) == 1 else hi + (lo + s * xs[-1])
     # E < V0: a root within half an ulp of z0 is reported one ulp below it,
     # which the threshold rule of _band_frame keeps above e_m
-    if zs[-1] == v:
-        zs[-1] = math.nextafter(v, 0.0)
-    return zs[-1], z_tilde, zs
+    if z == v:
+        z = math.nextafter(v, 0.0)
+    return z, z_tilde, xs, (start, hi, lo, s)
 
 
-def _solve_band(m: int, v: float, config: SolveConfig) -> tuple[BoundState, list[float]]:
-    # the m-th bound state of a well of validated strength v, which holds it,
-    # and the iterates in z that found it
-    z, z_tilde, iterates = _band_root(m, v, _band_frame(m, v), config)
-    return BoundState(m=m, z=z, z_tilde=z_tilde, energy_ratio=(z / v) ** 2), iterates
+def _solve_band(m: int, v: float, config: SolveConfig) -> tuple[BoundState, list, tuple]:
+    # band m's state, for a validated strength v that holds it, and its iterates
+    z, z_tilde, xs, where = _band_root(m, v, _band_frame(m, v), config)
+    return BoundState(m, z, z_tilde, (z / v) ** 2), xs, where
 
 
 def newton_solve(
@@ -251,8 +249,10 @@ def newton_solve(
     """
     v = strength_value(z0)
     bracket_for(m, v)
-    state, iterates = _solve_band(m, v, config)
-    return state, NewtonTrace(tuple(iterates), converged=True, fallback_bisections=0)
+    state, xs, (start, hi, lo, s) = _solve_band(m, v, config)
+    zs = [hi + (lo + s * x) for x in xs]
+    zs[0], zs[-1] = start, state.z
+    return state, NewtonTrace(tuple(zs), converged=True, fallback_bisections=0)
 
 
 def solve_all(
@@ -265,4 +265,8 @@ def solve_all(
     returned roots are strictly increasing.
     """
     v = strength_value(z0)
-    return [_solve_band(m, v, config)[0] for m in range(1, count_bound_states(v) + 1)]
+    states = []
+    for m in range(1, count_bound_states(v) + 1):
+        z, z_tilde, _, _ = _band_root(m, v, _band_frame(m, v), config)
+        states.append(BoundState(m, z, z_tilde, (z / v) ** 2))
+    return states

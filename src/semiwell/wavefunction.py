@@ -71,16 +71,11 @@ def build_wavefunction(
         raise DomainError(
             f"state (z={z!r}, z_tilde={zt!r}) does not belong to z0={v!r}"
         )
+    sin_z = math.sin(z)
     i1 = (a / (4.0 * z)) * (2.0 * z - math.sin(2.0 * z))
-    i2 = a * math.sin(z) ** 2 / (2.0 * zt)
+    i2 = a * sin_z**2 / (2.0 * zt)
     amplitude = 1.0 / math.sqrt(i1 + i2)
-    return WavefunctionSpec(
-        a=a,
-        k=z / a,
-        k_tilde=zt / a,
-        amplitude=amplitude,
-        outside_coeff=amplitude * math.sin(z),
-    )
+    return WavefunctionSpec(a, z / a, zt / a, amplitude, amplitude * sin_z)
 
 
 def evaluate(spec: WavefunctionSpec, x: float) -> float:

@@ -363,3 +363,19 @@ def test_solve_counts_the_states_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["results"]["count"] == 8
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("z0", ["25", "1e3"])
+def test_solve_rows_are_the_library_states_and_steps(capsys, z0):
+    # the CLI reads each root and its step count from the band solve, the
+    # library its states and, from newton_solve alone, the iterates in z:
+    # both must describe the same solve
+    code, out, _ = invoke(capsys, "solve", "--z0", z0)
+    assert code == 0
+    roots = json.loads(out)["results"]["roots"]
+    states = semiwell.solve_all(float(z0))
+    assert len(roots) == len(states)
+    for row, state in zip(roots, states):
+        assert [row[k] for k in state._fields] == list(state)
+        trace = semiwell.newton_solve(state.m, float(z0))[1]
+        assert row["newton_iters"] == len(trace.iterates) - 1

@@ -89,6 +89,12 @@ class TestBoundState:
         with pytest.raises(DomainError, match="E/V0"):
             BoundState(m=1, z=3.0, z_tilde=1e300, energy_ratio=bad)
 
+    @pytest.mark.parametrize("m", [True, 2.0, 0, -1])
+    def test_rejects_a_band_index_that_is_not_a_positive_int(self, m):
+        with pytest.raises(DomainError) as info:
+            BoundState(m, 2.944, 14.708, 0.0385)
+        assert str(info.value) == f"interval index must be an int >= 1, got {m!r}"
+
     def test_accepts_an_underflowed_energy_ratio(self):
         # (z / z0)^2 is 0.0 in float once z0 passes about 1.6e162; the band
         # check on z already certifies E > 0

@@ -383,6 +383,19 @@ def test_trace_iterates_are_those_of_residual_interval(z0, bands):
         ]
 
 
+@pytest.mark.parametrize("k", [3, 5, 7, 21, 101])
+def test_a_root_that_rounds_to_z0_is_reported_one_float_below_it(k):
+    # two floats above the threshold k pi / 2 the top band's root rounds to
+    # z0, where E = V0; the state, solve_all and the last iterate of the
+    # trace all report the float below z0 instead
+    z0 = math.nextafter(math.nextafter(k * math.pi / 2, math.inf), math.inf)
+    m = (k + 1) // 2
+    state, trace = newton_solve(m, z0)
+    assert state.z == math.nextafter(z0, 0.0) == trace.iterates[-1]
+    assert len(trace.iterates) > 1
+    assert solve_all(z0)[-1] == state
+
+
 def test_band_edges_are_exact_pairs():
     # hi is the float nearest e_m = (2m - 1) pi / 2 and hi + lo carries it
     # to about 1e-32 relative; eps = z0 - e_m, and 0 on the two floats next
@@ -483,8 +496,24 @@ def test_newton_converges_on_every_band_without_a_bracket(z0, bands):
         assert repr(solve_all(z0)) == repr(singles)
 
 
-@pytest.mark.parametrize("z0", [15.0, 25.0, 1e3, 1e4])
+@pytest.mark.parametrize(
+    "z0",
+    [
+        15.0,
+        25.0,
+        1e3,
+        1e4,
+        # closed-form wells: the root of band 2n + 1 sits at the band midpoint,
+        # where Newton takes one step
+        *(math.sqrt(2.0) * (8 * n + 3) * math.pi / 4.0 for n in range(6)),
+        21 * math.pi / 2 + 1e-7,
+        # both coordinates, delta above the band midpoint and theta below it
+        2e5,
+    ],
+)
 def test_solve_all_is_newton_solve_band_by_band(z0):
+    # solve_all builds its states itself, newton_solve through the band
+    # check and the iterate history: the same roots, bit for bit
     states = solve_all(z0)
     singles = [newton_solve(m, z0)[0] for m in range(1, count_bound_states(z0) + 1)]
     assert repr(states) == repr(singles)
