@@ -507,7 +507,7 @@ def test_newton_converges_on_every_band_without_a_bracket(z0, bands):
         # where Newton takes one step
         *(math.sqrt(2.0) * (8 * n + 3) * math.pi / 4.0 for n in range(6)),
         21 * math.pi / 2 + 1e-7,
-        # both coordinates, delta above the band midpoint and theta below it
+        # both coordinates: delta for roots below their band's midpoint, theta past it
         2e5,
     ],
 )
