@@ -294,12 +294,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         doc = _dispatch(parser, args)
         payload = serialize(doc, args.format)
-    except SystemExit as exc:  # parser.error() during well resolution
+    except SystemExit as exc:  # usage, or parser.error() during well resolution
         return exc.code if isinstance(exc.code, int) else 2
     except (DomainError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,10 @@ with 0 < E < V0 satisfies the transcendental equation
 so the point (z, z_tilde) with z_tilde = a * kappa (kappa the exterior
 decay constant) lies on the circle z^2 + z_tilde^2 = z0^2.  The energy is
 E = V0 (z / z0)^2.  Solutions only exist where cot(z) < 0, i.e. in the
-bands ((2m - 1) pi / 2, m pi) for m = 1, 2, ...
+bands ((2m - 1) pi / 2, m pi) for m = 1, 2, ...  Their edges are placed
+here alone, exactly as pairs of floats while 2m - 1 is exact (m <= 2^52,
+float64's band resolution): e_m by :func:`_band_frame` and m pi = e_m +
+pi / 2 by :func:`_band_top`.  Every edge check reads them.
 
 Everything in this module is a pure function of z and z0.  Physical
 units enter only through :mod:`semiwell.units`.
@@ -27,6 +30,8 @@ from .errors import DomainError
 _SIN_GUARD = 1e-300
 
 _HALF_PI = math.pi / 2.0
+# pi - math.pi, so that pi = math.pi + _PI_LO to about 3e-33
+_PI_LO = 1.2246467991473532e-16
 
 
 def _validated_make(cls, iterable):
@@ -73,9 +78,46 @@ def _check_int(label: str, n: int, least: int) -> None:
         raise DomainError(f"{label} must be an int >= {least}, got {n!r}")
 
 
+def _split(a: float) -> tuple[float, float]:
+    # Dekker's split by 2^27 + 1: a = hi + lo, halves of 26 bits whose
+    # products are exact
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_PI_SPLIT = _split(math.pi)
+
+
+def _band_frame(m: int, v: float) -> tuple[float, float, float]:
+    # band m's left edge e_m = (2m - 1) pi / 2 = hi + lo, hi the float nearest
+    # it, to about 1e-32 relative: (2m - 1) math.pi is its rounded product
+    # plus the exact error (Dekker's two-product), which (2m - 1)(pi - math.pi)
+    # joins.  Also eps_m = z0 - e_m, 0 at the threshold: z0 is hi or the
+    # float past hi toward e_m, so that no float lies strictly between z0
+    # and e_m and no root z can satisfy e_m < z < z0.
+    x = float(2 * m - 1)
+    p = x * math.pi
+    (xh, xl), (ph, pl) = _split(x), _PI_SPLIT
+    err = ((xh * ph - p) + xh * pl + xl * ph) + xl * pl + x * _PI_LO
+    hi = p + err
+    e_hi, e_lo = 0.5 * hi, 0.5 * (err - (hi - p))
+    at = v == e_hi or v == math.nextafter(e_hi, math.copysign(math.inf, e_lo))
+    return e_hi, e_lo, 0.0 if at else (v - e_hi) - e_lo
+
+
+def _band_top(e_hi: float, e_lo: float) -> tuple[float, float]:
+    # band m's right edge m pi = e_m + pi / 2 as a pair hi + lo, by Fast2Sum
+    hi = e_hi + _HALF_PI
+    return hi, ((e_hi - hi) + _HALF_PI) + (e_lo + 0.5 * _PI_LO)
+
+
 def _band_edges(m: int) -> tuple[float, float]:
-    # the m-th band ((2m - 1) pi / 2, m pi), the only place a root can sit
-    return ((2 * m - 1) * _HALF_PI, m * math.pi)
+    # the floats nearest the edges of band m, the only place a root can sit
+    if m > 2**52:
+        raise DomainError(f"band m={m} is past float64's band resolution: m > 2^52")
+    e_hi, e_lo, _ = _band_frame(m, 0.0)
+    return e_hi, sum(_band_top(e_hi, e_lo))
 
 
 class BoundState(namedtuple("BoundState", "m z z_tilde energy_ratio")):
@@ -83,7 +125,7 @@ class BoundState(namedtuple("BoundState", "m z z_tilde energy_ratio")):
 
     The root lies strictly inside the m-th band ((2m - 1) pi / 2, m pi),
     the only places the eigenvalue equation can balance; its float may be
-    that of an edge, where a root within half an ulp of the edge rounds.
+    the float nearest an edge, where a root within half an ulp rounds.
     The band check already certifies E > 0, so energy_ratio may be 0.0,
     where (z / z0)^2 underflows (z0 above about 1.6e162).
     """
@@ -93,8 +135,7 @@ class BoundState(namedtuple("BoundState", "m z z_tilde energy_ratio")):
     def __new__(
         cls, m: int, z: float, z_tilde: float, energy_ratio: float
     ) -> BoundState:
-        if not (type(m) is int and m >= 1):
-            _check_int("interval index", m, 1)
+        _check_int("interval index", m, 1)
         lo, hi = _band_edges(m)
         if not lo <= z <= hi:
             raise DomainError(f"z={z!r} outside interval [{lo!r}, {hi!r}] for m={m}")
@@ -159,19 +200,20 @@ def energy_ratio(z: float, z0: WellStrength | float) -> float:
 
 
 def interval_index(z: float) -> int:
-    """Index m of the half-open band ((2m - 1) pi / 2, m pi] containing z.
+    """Index m of the band ((2m - 1) pi / 2, m pi) containing z.
 
-    Only these bands (where cot(z) <= 0) can hold roots.  A z outside every
-    band has no index and raises DomainError.
+    Only these bands (where cot(z) <= 0) can hold roots.  As in
+    :class:`BoundState`, the floats nearest the band's edges belong to it.
+    A z outside every band, or past m = 2^50, where z / pi may round by a
+    quarter, raises DomainError.
     """
-    if not math.isfinite(z) or z <= _HALF_PI:
+    if not math.isfinite(z) or z < _HALF_PI:
         raise DomainError(f"z={z!r} lies below the first root interval")
-    m = max(1, math.ceil(z / math.pi))
-    # ceil() can slip by one when z sits within rounding of a band edge
-    if z > m * math.pi:
-        m += 1
-    elif z <= (2 * m - 1) * _HALF_PI:
-        m -= 1
-    if m < 1 or not (2 * m - 1) * _HALF_PI < z <= m * math.pi:
+    # the one candidate, whose steps lie mid-gap, a quarter pi from any edge
+    m = math.ceil(z / math.pi - 0.25)
+    if m > 2**50:
+        raise DomainError(f"z={z!r} is past float64's band resolution for an index")
+    lo, hi = _band_edges(m)
+    if not lo <= z <= hi:
         raise DomainError(f"z={z!r} lies between root intervals (cot z > 0 there)")
     return m

@@ -1,32 +1,30 @@
 """Root counting and the Newton solve of the spectrum in band-edge coordinates.
 
-The number of bound states is the number of band edges
-e_m = (2m - 1) pi / 2 below z0, each band holding one root.  At a
-threshold, where no float lies strictly between z0 and e_m, the circle is
-tangent to the band edge and the grazing intersection z = z0 carries no
-state: a root needs a float z with e_m < z < z0.  :func:`_band_frame` is
-the one place that decides it.
+Band m, from e_m = (2m - 1) pi / 2 to m pi, is placed by the band frame of
+:mod:`semiwell.dimensionless`; past band 2^52, where the frame is not
+exact, :func:`bracket_for` refuses it.  Band m holds one root when
+eps_m = z0 - e_m > 0, which is 0 at a threshold: no float lies strictly
+between z0 and e_m, and the grazing intersection z = z0 carries no state.
 
-Band m is solved from its left edge e_m, held as an exact pair of floats.
-With eps_m = z0 - e_m and delta = z - e_m the residual
+With delta = z - e_m the residual
 
     h_m(delta) = eps_m - delta - 2 z0 sin^2(delta / 2) = -(z - z0 |sin z|)
 
-is concave on (-pi/2, pi/2).  The band is delta > 0, where h_m falls from
-eps_m: it holds a root exactly when eps_m > 0, with z_tilde = z0 sin(delta).
-A root past the band midpoint (E/V0 < 1/2, h_m > 0 there) is solved in the
-paper's theta = m pi - z instead, on theta + z0 sin(theta) - m pi, concave
-on (0, pi), with z_tilde = z0 cos(theta).  Neither cancels near a
-threshold, and on a concave residual plain Newton from the band midpoint
-(4m - 1) pi / 4 needs no bracket.  The same loop finds the crossings of
-:mod:`semiwell.variants` between the bands (delta < 0).
+is concave on (-pi/2, pi/2) and falls from eps_m on the band, delta > 0,
+with z_tilde = z0 sin(delta).  A root past the band midpoint (E/V0 < 1/2,
+h_m > 0 there) is solved in the paper's theta = m pi - z instead, on
+theta + z0 sin(theta) - m pi, concave on (0, pi), with
+z_tilde = z0 cos(theta).  Neither cancels near a threshold, and on a
+concave residual plain Newton from the band midpoint (4m - 1) pi / 4 needs
+no bracket.  The same loop finds the crossings of :mod:`semiwell.variants`
+between the bands (delta < 0).
 
-Inputs are validated once per public call, where they enter; the loops
-below that run on the plain float z0.  :func:`solve_all` counts the states
-once and solves every band through the same per-band solve as
-:func:`newton_solve`, which adds the band check of :func:`bracket_for` and
-alone builds the z history of the iterates; the per-band solve turns only
-the accepted root into z.  Every routine here is a pure function.
+Inputs are checked once per public call; the loops below run on the plain
+float z0.  :func:`solve_all` counts the states once and solves each band as
+:func:`newton_solve` does, which alone adds :func:`bracket_for`'s check and
+the z history of the iterates.  A band with eps_m > 0 holds its root within
+its edges, with z_tilde > 0 and z < z0, so the solver builds its states
+bare, past the checks of :class:`BoundState`'s constructor and ``_replace``.
 """
 
 from __future__ import annotations
@@ -35,18 +33,16 @@ import math
 from collections import namedtuple
 
 from .dimensionless import (
-    _HALF_PI,
     BoundState,
     WellStrength,
     _band_edges,
+    _band_frame,
+    _band_top,
     _check_int,
     _validated_make,
     strength_value,
 )
 from .errors import ConvergenceError, DomainError
-
-# pi - math.pi, so that pi = math.pi + _PI_LO to about 3e-33
-_PI_LO = 1.2246467991473532e-16
 
 # h at the band midpoint delta = pi/4 is eps - pi/4 - _MIDPOINT_SAG z0
 _MIDPOINT_SAG = 2.0 * math.sin(math.pi / 8.0) ** 2
@@ -107,49 +103,23 @@ def count_bound_states(z0: WellStrength | float) -> int:
 
 
 def bracket_for(m: int, z0: WellStrength | float) -> tuple[float, float]:
-    """Open interval ((2m - 1) pi / 2, m pi) holding the m-th root.
+    """Floats nearest the edges of the band ((2m - 1) pi / 2, m pi) of root m.
 
-    Raises DomainError when band m holds no root for this z0, that is when
-    z0 lies at or below the band's left edge.
+    Raises DomainError when band m holds no root for this z0 (z0 lies at or
+    below its left edge) or is past float64's band resolution (m > 2^52).
     """
     v = strength_value(z0)
     _check_int("interval index", m, 1)
     # m - 1 < z0 / pi compares exactly, so a huge m never reaches the frame;
     # the count only words the error
-    if not (m - 1 < v / math.pi and _band_frame(m, v)[2] > 0.0):
-        raise DomainError(
-            f"band m={m} holds no root: z0={v!r} supports "
-            f"{count_bound_states(v)} bound state(s)"
-        )
-    return _band_edges(m)
-
-
-def _split(a: float) -> tuple[float, float]:
-    # Dekker's split by 2^27 + 1: a = hi + lo, halves of 26 bits whose
-    # products are exact
-    c = 134217729.0 * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_PI_SPLIT = _split(math.pi)
-
-
-def _band_frame(m: int, v: float) -> tuple[float, float, float]:
-    # band m's left edge e_m = (2m - 1) pi / 2 = hi + lo, hi the float nearest
-    # it, to about 1e-32 relative: (2m - 1) math.pi is its rounded product
-    # plus the exact error (Dekker's two-product), which (2m - 1)(pi - math.pi)
-    # joins.  Also eps_m = z0 - e_m, 0 at the threshold: z0 is hi or the
-    # float past hi toward e_m, so that no float lies strictly between z0
-    # and e_m and no root z can satisfy e_m < z < z0.
-    x = float(2 * m - 1)
-    p = x * math.pi
-    (xh, xl), (ph, pl) = _split(x), _PI_SPLIT
-    err = ((xh * ph - p) + xh * pl + xl * ph) + xl * pl + x * _PI_LO
-    hi = p + err
-    e_hi, e_lo = 0.5 * hi, 0.5 * (err - (hi - p))
-    at = v == e_hi or v == math.nextafter(e_hi, math.copysign(math.inf, e_lo))
-    return e_hi, e_lo, 0.0 if at else (v - e_hi) - e_lo
+    if m - 1 < v / math.pi:
+        edges = _band_edges(m)
+        if _band_frame(m, v)[2] > 0.0:
+            return edges
+    raise DomainError(
+        f"band m={m} holds no root: z0={v!r} supports "
+        f"{count_bound_states(v)} bound state(s)"
+    )
 
 
 def _newton(
@@ -213,8 +183,7 @@ def _band_root(
     start = (4 * m - 1) * math.pi / 4.0
     if eps > 0.25 * math.pi + _MIDPOINT_SAG * v:
         # h > 0 at the midpoint: the root lies past it, nearer m pi = e_m + pi/2
-        p_hi = hi + _HALF_PI
-        hi, lo = p_hi, ((hi - p_hi) + _HALF_PI) + (lo + 0.5 * _PI_LO)
+        hi, lo = _band_top(hi, lo)
         xs = _newton(m, v, (hi - start) + lo, eps, (hi, lo), config)
         s, z_tilde = -1.0, v * math.cos(xs[-1])
     else:
@@ -231,7 +200,7 @@ def _band_root(
 def _solve_band(m: int, v: float, config: SolveConfig) -> tuple[BoundState, list, tuple]:
     # band m's state, for a validated strength v that holds it, and its iterates
     z, z_tilde, xs, where = _band_root(m, v, _band_frame(m, v), config)
-    return BoundState(m, z, z_tilde, (z / v) ** 2), xs, where
+    return tuple.__new__(BoundState, (m, z, z_tilde, (z / v) ** 2)), xs, where
 
 
 def newton_solve(
@@ -265,8 +234,11 @@ def solve_all(
     returned roots are strictly increasing.
     """
     v = strength_value(z0)
+    n = count_bound_states(v)
+    if n > 2**52:
+        _band_edges(n)  # raises: the frame of band n is not exact
     states = []
-    for m in range(1, count_bound_states(v) + 1):
+    for m in range(1, n + 1):
         z, z_tilde, _, _ = _band_root(m, v, _band_frame(m, v), config)
-        states.append(BoundState(m, z, z_tilde, (z / v) ** 2))
+        states.append(tuple.__new__(BoundState, (m, z, z_tilde, (z / v) ** 2)))
     return states

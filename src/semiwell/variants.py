@@ -37,9 +37,9 @@ import enum
 import math
 from collections import namedtuple
 
-from .dimensionless import _HALF_PI, WellStrength, strength_value
+from .dimensionless import _HALF_PI, WellStrength, _band_frame, strength_value
 from .errors import DomainError
-from .solver import SolveConfig, _band_frame, _band_root, _newton, count_bound_states
+from .solver import SolveConfig, _band_root, _newton, count_bound_states
 
 
 class VariantKind(enum.Enum):

@@ -168,6 +168,21 @@ def test_wavefn_of_an_extremely_deep_well(capsys):
     assert results["k_tilde"] == 1e300
 
 
+def test_wavefn_of_a_low_state_of_a_very_deep_well(capsys):
+    # the root is the float nearest 11 pi, one ulp above 11 * math.pi
+    code, out, err = invoke(capsys, "wavefn", "--z0", "1e17", "--state", "11", "--samples", "2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"]["z"] == 34.55751918948773
+
+
+def test_wavefn_refuses_a_band_past_float64_resolution(capsys):
+    # the top band of z0 = 1e17 is past band 2^52, whose 2m - 1 has no float
+    code, out, err = invoke(capsys, "wavefn", "--z0", "1e17", "--state", "31830988618379068")
+    assert code == 1 and out == ""
+    assert "float64's band resolution" in err
+    assert "holds no root" not in err
+
+
 def test_wavefn_rejects_state_beyond_count(capsys):
     code, out, err = invoke(capsys, "wavefn", "--z0", "15", "--state", "6")
     assert code == 1

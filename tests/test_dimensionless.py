@@ -7,6 +7,7 @@ mpmath at 50 significant digits and pasted here to 17 digits.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +28,7 @@ from semiwell import (
     solve_all,
     strength_value,
 )
+from semiwell.dimensionless import _band_edges
 
 # frozen: 3 pi / 4 - 15 sqrt(2) / 2
 RESIDUAL_AT_MIDPOINT = -8.2504072276058679
@@ -217,6 +219,26 @@ def test_interval_index_on_bands_and_gaps():
         interval_index(3.5)  # in the gap (pi, 3 pi / 2]
     with pytest.raises(DomainError):
         interval_index(math.inf)
+    # the float nearest 11 pi lies one ulp above 11 * math.pi
+    assert interval_index(34.55751918948773) == 11
+
+
+def test_interval_index_reads_the_floats_nearest_the_band_edges():
+    # as in BoundState, the floats nearest a band's edges belong to it, the
+    # floats past them do not; the candidate index never slips at an edge
+    rng = random.Random(4)
+    for m in [*range(1, 3000), *(rng.randint(1, 2**50) for _ in range(3000))]:
+        lo, hi = _band_edges(m)
+        assert interval_index(lo) == interval_index(hi) == m
+        assert interval_index(math.nextafter(lo, math.inf)) == m
+        for z in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
+            with pytest.raises(DomainError, match="root interval"):
+                interval_index(z)
+
+
+def test_interval_index_refuses_z_past_its_band_resolution():
+    with pytest.raises(DomainError, match="float64's band resolution"):
+        interval_index(1e16)
 
 
 @given(

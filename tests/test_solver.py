@@ -6,7 +6,9 @@ sqrt(z0^2 - z^2) = -z cot(z), rounded to 17 digits.
 
 from __future__ import annotations
 
+import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -15,18 +17,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiwell import (
+    BoundState,
     DomainError,
     SolveConfig,
     WellStrength,
     bracket_for,
     build_wavefunction,
     count_bound_states,
+    interval_index,
     newton_solve,
     probability_inside,
     residual_exact,
     residual_interval,
     solve_all,
 )
+from semiwell.cli import run
+from semiwell.dimensionless import _band_edges
 from semiwell.solver import _band_frame
 
 # pi - math.pi, from a 50-digit mpmath value of pi
@@ -413,6 +419,7 @@ def test_band_edges_are_exact_pairs():
         assert _band_frame(m, below)[2] == 0.0 == _band_frame(m, above)[2]
         assert _band_frame(m, hi)[2] == 0.0
         assert _band_frame(m, math.nextafter(above, math.inf))[2] > 0.0 < eps
+        assert _band_edges(m) == (hi, float(m * pi))
 
 
 # frozen: top state at z0 = k pi / 2 + d, 50-digit mpmath
@@ -517,3 +524,84 @@ def test_solve_all_is_newton_solve_band_by_band(z0):
     states = solve_all(z0)
     singles = [newton_solve(m, z0)[0] for m in range(1, count_bound_states(z0) + 1)]
     assert repr(states) == repr(singles)
+
+
+# frozen, 50-digit mpmath: low states of very deep wells, (z0, m, z, z_tilde).
+# z is the float nearest m pi - theta, theta about m pi / z0, which for these
+# bands is the float nearest m pi, one ulp above m * math.pi
+DEEP_LOW_STATES = [
+    (1e17, 11, 34.55751918948773, 1e17),
+    (1e17, 41, 128.80529879718154, 1e17),
+    (1e17, 98, 307.87608005179976, 1e17),
+    (1e17, 152, 477.5220833456486, 1e17),
+    (1e17, 197, 618.8937527571893, 1e17),
+    (1e20, 11, 34.55751918948773, 1e20),
+    (1e20, 31, 97.3893722612836, 1e20),
+    (1e20, 120, 376.9911184307752, 1e20),
+    (1e20, 197, 618.8937527571893, 1e20),
+    (1e100, 11, 34.55751918948773, 1e100),
+    (1e100, 62, 194.7787445225672, 1e100),
+    (1e100, 164, 515.2211951887261, 1e100),
+]
+
+
+@pytest.mark.parametrize("z0,m,z,z_tilde", DEEP_LOW_STATES)
+def test_low_state_of_a_very_deep_well_at_the_right_edge(z0, m, z, z_tilde):
+    # the root rounds to the float nearest the band's right edge, which the
+    # edge check reads from the same frame as the solver
+    state, trace = newton_solve(m, z0)
+    assert state.z == z == trace.iterates[-1]
+    assert state.z_tilde == pytest.approx(z_tilde, rel=2e-16)
+    assert BoundState(*state) == state
+    assert interval_index(state.z) == m
+    assert z <= bracket_for(m, z0)[1]
+
+
+@pytest.mark.parametrize("z0", [1e17, 1e20])
+def test_bands_past_float64_resolution_are_refused(z0):
+    # past band 2^52, 2m - 1 has no exact float and the frame cannot place
+    # the band; the count keeps its float estimate round(z0 / pi)
+    n = count_bound_states(z0)
+    assert n == round(z0 / math.pi) > 2**52
+    for m in (n, n - 1, n // 2):
+        for call in (bracket_for, newton_solve):
+            with pytest.raises(DomainError, match="float64's band resolution"):
+                call(m, z0)
+    with pytest.raises(DomainError, match="float64's band resolution"):
+        solve_all(z0)
+    assert count_bound_states(sys.float_info.max) > 10**307
+
+
+def _solver_states(z0, cli, capsys):
+    # the states of solve_all, of newton_solve on three bands and of CLI solve
+    yield from solve_all(z0)
+    n = count_bound_states(z0)
+    if n:
+        yield from (newton_solve(m, z0)[0] for m in {1, (n + 1) // 2, n})
+    if cli:
+        assert run(["solve", "--z0", repr(z0)]) == 0
+        for row in json.loads(capsys.readouterr().out)["results"]["roots"]:
+            yield tuple.__new__(BoundState, (row[k] for k in BoundState._fields))
+
+
+def test_solver_states_pass_the_public_constructor(capsys):
+    # the solver builds its states without the constructor's checks, which
+    # its band frame has proven; each must still pass them, here on seeded
+    # depths log-uniform in [1, 3e4] (CLI solve on every tenth) and on the
+    # low bands of deep wells
+    rng = random.Random(12)
+    checked = 0
+    for i in range(300):
+        z0 = math.exp(rng.uniform(0.0, math.log(3e4)))
+        for state in _solver_states(z0, i % 10 == 0, capsys):
+            assert BoundState(*state) == state
+            assert interval_index(state.z) == state.m
+            checked += 1
+    deep = [(m, z0) for z0 in (1e16, 1e17, 1e20, 1e100, 1e300) for m in range(1, 200)]
+    # the top root of 1e12 rounds to the float nearest its band's left edge
+    for m, z0 in [*deep, (318_309_886_184, 1e12)]:
+        state = newton_solve(m, z0)[0]
+        assert BoundState(*state) == state
+        assert interval_index(state.z) == m
+        checked += 1
+    assert checked > 250_000
