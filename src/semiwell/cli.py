@@ -24,7 +24,7 @@ import argparse
 import sys
 from typing import Any, Sequence
 
-from .dimensionless import WellStrength, residual_exact
+from .dimensionless import WellStrength, _band_frame, residual_exact
 from .errors import ConvergenceError, DomainError
 from .exact import exact_solution
 from .output import CurveKind, OutputDocument, emit_curves, serialize
@@ -177,12 +177,13 @@ def _solve_payload(
     strength: WellStrength, config: SolveConfig
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     n = _enumerable_count(strength)
+    z0 = strength.z0
     roots = []
     iters_total = 0
     max_residual = 0.0
     for m in range(1, n + 1):
         # n is the count, so every band 1..n holds a root: no per-band recount
-        state, xs, _ = _solve_band(m, strength.z0, config)
+        state, xs, _ = _solve_band(m, z0, _band_frame(m, z0), config)
         res = residual_exact(state.z, strength)
         max_residual = max(max_residual, abs(res))
         iters = len(xs) - 1
@@ -294,9 +295,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
         doc = _dispatch(parser, args)
         payload = serialize(doc, args.format)
-    except SystemExit as exc:  # usage, or parser.error() during well resolution
+    except SystemExit as exc:  # parser.error() during well resolution
         return exc.code if isinstance(exc.code, int) else 2
     except (DomainError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

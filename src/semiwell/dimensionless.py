@@ -11,8 +11,9 @@ decay constant) lies on the circle z^2 + z_tilde^2 = z0^2.  The energy is
 E = V0 (z / z0)^2.  Solutions only exist where cot(z) < 0, i.e. in the
 bands ((2m - 1) pi / 2, m pi) for m = 1, 2, ...  Their edges are placed
 here alone, exactly as pairs of floats while 2m - 1 is exact (m <= 2^52,
-float64's band resolution): e_m by :func:`_band_frame` and m pi = e_m +
-pi / 2 by :func:`_band_top`.  Every edge check reads them.
+float64's band resolution, past which the frame refuses a band): e_m by
+:func:`_band_frame` and m pi = e_m + pi / 2 by :func:`_band_top`.  Every
+edge check reads them.
 
 Everything in this module is a pure function of z and z0.  Physical
 units enter only through :mod:`semiwell.units`.
@@ -95,7 +96,10 @@ def _band_frame(m: int, v: float) -> tuple[float, float, float]:
     # plus the exact error (Dekker's two-product), which (2m - 1)(pi - math.pi)
     # joins.  Also eps_m = z0 - e_m, 0 at the threshold: z0 is hi or the
     # float past hi toward e_m, so that no float lies strictly between z0
-    # and e_m and no root z can satisfy e_m < z < z0.
+    # and e_m and no root z can satisfy e_m < z < z0.  Past band 2^52, where
+    # 2m - 1 has no exact float, no band can be placed.
+    if m > 2**52:
+        raise DomainError(f"band m={m} is past float64's band resolution: m > 2^52")
     x = float(2 * m - 1)
     p = x * math.pi
     (xh, xl), (ph, pl) = _split(x), _PI_SPLIT
@@ -114,8 +118,6 @@ def _band_top(e_hi: float, e_lo: float) -> tuple[float, float]:
 
 def _band_edges(m: int) -> tuple[float, float]:
     # the floats nearest the edges of band m, the only place a root can sit
-    if m > 2**52:
-        raise DomainError(f"band m={m} is past float64's band resolution: m > 2^52")
     e_hi, e_lo, _ = _band_frame(m, 0.0)
     return e_hi, sum(_band_top(e_hi, e_lo))
 

@@ -55,8 +55,13 @@ class OutputDocument(namedtuple("OutputDocument", _DOCUMENT_FIELDS)):
         )
 
     def to_dict(self) -> dict[str, Any]:
-        # the fields in order, but schema_version first
-        return {"schema_version": self.schema_version, **self._asdict()}
+        return {
+            "schema_version": self.schema_version,
+            "command": self.command,
+            "inputs": self.inputs,
+            "results": self.results,
+            "diagnostics": self.diagnostics,
+        }
 
 
 def format_float(x: float) -> str:
@@ -108,7 +113,11 @@ def _write_json(value: Any, out: list[str]) -> None:
 
 def _escape_json_string(s: str) -> str:
     safe = s.replace("\\", "\\\\").replace('"', '\\"')
-    return '"' + "".join(f"\\u{ord(ch):04x}" if ch < " " else ch for ch in safe) + '"'
+    chunks = []
+    for ch in safe:
+        code = ord(ch)
+        chunks.append(f"\\u{code:04x}" if code < 0x20 else ch)
+    return '"' + "".join(chunks) + '"'
 
 
 def _cell(value: Any) -> str:

@@ -1,10 +1,10 @@
 """Root counting and the Newton solve of the spectrum in band-edge coordinates.
 
 Band m, from e_m = (2m - 1) pi / 2 to m pi, is placed by the band frame of
-:mod:`semiwell.dimensionless`; past band 2^52, where the frame is not
-exact, :func:`bracket_for` refuses it.  Band m holds one root when
-eps_m = z0 - e_m > 0, which is 0 at a threshold: no float lies strictly
-between z0 and e_m, and the grazing intersection z = z0 carries no state.
+:mod:`semiwell.dimensionless`, which refuses a band past 2^52, where it
+cannot be exact.  Band m holds one root when eps_m = z0 - e_m > 0, which
+is 0 at a threshold: no float lies strictly between z0 and e_m, and the
+grazing intersection z = z0 carries no state.
 
 With delta = z - e_m the residual
 
@@ -23,8 +23,10 @@ Inputs are checked once per public call; the loops below run on the plain
 float z0.  :func:`solve_all` counts the states once and solves each band as
 :func:`newton_solve` does, which alone adds :func:`bracket_for`'s check and
 the z history of the iterates.  A band with eps_m > 0 holds its root within
-its edges, with z_tilde > 0 and z < z0, so the solver builds its states
-bare, past the checks of :class:`BoundState`'s constructor and ``_replace``.
+its edges, with z_tilde > 0 and z < z0, and :func:`_band_root` refuses an
+iterate that a loose root_tol stopped outside them, so the solver builds
+its states bare, past the checks of :class:`BoundState`'s constructor and
+``_replace``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from collections import namedtuple
 from .dimensionless import (
     BoundState,
     WellStrength,
-    _band_edges,
     _band_frame,
     _band_top,
     _check_int,
@@ -108,14 +109,17 @@ def bracket_for(m: int, z0: WellStrength | float) -> tuple[float, float]:
     Raises DomainError when band m holds no root for this z0 (z0 lies at or
     below its left edge) or is past float64's band resolution (m > 2^52).
     """
-    v = strength_value(z0)
+    e_hi, e_lo, _ = _root_frame(m, strength_value(z0))
+    return e_hi, sum(_band_top(e_hi, e_lo))
+
+
+def _root_frame(m: int, v: float) -> tuple[float, float, float]:
+    # band m's frame, for a validated strength v, if the band holds a root;
+    # m - 1 < z0 / pi compares exactly, so a huge m never reaches the frame,
+    # and the count only words the error
     _check_int("interval index", m, 1)
-    # m - 1 < z0 / pi compares exactly, so a huge m never reaches the frame;
-    # the count only words the error
-    if m - 1 < v / math.pi:
-        edges = _band_edges(m)
-        if _band_frame(m, v)[2] > 0.0:
-            return edges
+    if m - 1 < v / math.pi and (frame := _band_frame(m, v))[2] > 0.0:
+        return frame
     raise DomainError(
         f"band m={m} holds no root: z0={v!r} supports "
         f"{count_bound_states(v)} bound state(s)"
@@ -190,6 +194,13 @@ def _band_root(
         xs = _newton(m, v, (start - hi) - lo, eps, None, config)
         s, z_tilde = 1.0, v * math.sin(xs[-1])
     z = start if len(xs) == 1 else hi + (lo + s * xs[-1])
+    # the iterates never pass the start; a loose root_tol can stop them short
+    # of the root, past z0 (delta) or past m pi (theta <= 0)
+    if not (xs[-1] > 0.0 and z <= v):
+        raise ConvergenceError(
+            f"Newton stopped at z={z!r}, outside the roots of band m={m} for "
+            f"z0={v!r}: root_tol={config.root_tol!r} is too loose"
+        )
     # E < V0: a root within half an ulp of z0 is reported one ulp below it,
     # which the threshold rule of _band_frame keeps above e_m
     if z == v:
@@ -197,9 +208,12 @@ def _band_root(
     return z, z_tilde, xs, (start, hi, lo, s)
 
 
-def _solve_band(m: int, v: float, config: SolveConfig) -> tuple[BoundState, list, tuple]:
-    # band m's state, for a validated strength v that holds it, and its iterates
-    z, z_tilde, xs, where = _band_root(m, v, _band_frame(m, v), config)
+def _solve_band(
+    m: int, v: float, frame: tuple[float, float, float], config: SolveConfig
+) -> tuple[BoundState, list, tuple]:
+    # band m's state and its iterates, for a validated strength v and the
+    # frame of the band, which holds a root
+    z, z_tilde, xs, where = _band_root(m, v, frame, config)
     return tuple.__new__(BoundState, (m, z, z_tilde, (z / v) ** 2)), xs, where
 
 
@@ -217,8 +231,7 @@ def newton_solve(
     rounding floor of the residual.
     """
     v = strength_value(z0)
-    bracket_for(m, v)
-    state, xs, (start, hi, lo, s) = _solve_band(m, v, config)
+    state, xs, (start, hi, lo, s) = _solve_band(m, v, _root_frame(m, v), config)
     zs = [hi + (lo + s * x) for x in xs]
     zs[0], zs[-1] = start, state.z
     return state, NewtonTrace(tuple(zs), converged=True, fallback_bisections=0)
@@ -234,11 +247,8 @@ def solve_all(
     returned roots are strictly increasing.
     """
     v = strength_value(z0)
-    n = count_bound_states(v)
-    if n > 2**52:
-        _band_edges(n)  # raises: the frame of band n is not exact
     states = []
-    for m in range(1, n + 1):
+    for m in range(1, count_bound_states(v) + 1):
         z, z_tilde, _, _ = _band_root(m, v, _band_frame(m, v), config)
         states.append(tuple.__new__(BoundState, (m, z, z_tilde, (z / v) ** 2)))
     return states

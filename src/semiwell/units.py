@@ -60,5 +60,7 @@ def critical_depth(mass: float, width_a: float, hbar: float = HBAR_SI) -> float:
     At exactly this depth z0 = pi/2 and the would-be state merges with the
     continuum, so the count is still zero.
     """
-    PhysicalWell(mass, width_a, 1.0, hbar)  # checks mass, width_a and hbar
+    for label, value in (("mass", mass), ("width_a", width_a), ("hbar", hbar)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{label} must be finite and positive, got {value!r}")
     return math.pi**2 * hbar**2 / (8.0 * mass * width_a**2)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from semiwell import (
     BoundState,
+    ConvergenceError,
     DomainError,
     SolveConfig,
     WellStrength,
@@ -567,8 +568,6 @@ def test_bands_past_float64_resolution_are_refused(z0):
         for call in (bracket_for, newton_solve):
             with pytest.raises(DomainError, match="float64's band resolution"):
                 call(m, z0)
-    with pytest.raises(DomainError, match="float64's band resolution"):
-        solve_all(z0)
     assert count_bound_states(sys.float_info.max) > 10**307
 
 
@@ -605,3 +604,18 @@ def test_solver_states_pass_the_public_constructor(capsys):
         assert interval_index(state.z) == m
         checked += 1
     assert checked > 250_000
+    # a loose root_tol stops Newton short of the root, past z0 in band 2 of
+    # 5.0 and past m pi in band 1 of 100.0: such a stop raises, and every
+    # state that a loose root_tol still returns passes the constructor
+    loose = SolveConfig(root_tol=10.0)
+    for m, z0 in [(2, 5.0), (1, 100.0)]:
+        for solve in (lambda: newton_solve(m, z0, loose), lambda: solve_all(z0, loose)):
+            with pytest.raises(ConvergenceError, match="root_tol=10.0 is too loose"):
+                solve()
+    for z0 in [math.exp(rng.uniform(0.0, math.log(300.0))) for _ in range(100)]:
+        for root_tol in (1e-6, 1e-3, 0.1, 1.0, 10.0):
+            try:
+                states = solve_all(z0, SolveConfig(root_tol=root_tol))
+            except ConvergenceError:
+                continue
+            assert all(BoundState(*state) == state for state in states)
