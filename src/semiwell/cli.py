@@ -24,11 +24,11 @@ import argparse
 import sys
 from typing import Any, Sequence
 
-from .dimensionless import WellStrength, _band_frame, residual_exact
+from .dimensionless import WellStrength, residual_exact
 from .errors import ConvergenceError, DomainError
 from .exact import exact_solution
 from .output import CurveKind, OutputDocument, emit_curves, serialize
-from .solver import SolveConfig, _solve_band, count_bound_states, newton_solve
+from .solver import SolveConfig, count_bound_states, newton_solve
 from .units import (
     ELECTRON_MASS_SI,
     EV_SI,
@@ -177,16 +177,14 @@ def _solve_payload(
     strength: WellStrength, config: SolveConfig
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     n = _enumerable_count(strength)
-    z0 = strength.z0
     roots = []
     iters_total = 0
     max_residual = 0.0
     for m in range(1, n + 1):
-        # n is the count, so every band 1..n holds a root: no per-band recount
-        state, xs, _ = _solve_band(m, z0, _band_frame(m, z0), config)
+        state, trace = newton_solve(m, strength, config)
         res = residual_exact(state.z, strength)
         max_residual = max(max_residual, abs(res))
-        iters = len(xs) - 1
+        iters = len(trace.iterates) - 1
         iters_total += iters
         roots.append({**state._asdict(), "residual": res, "newton_iters": iters})
     results = {"count": n, "roots": roots}
@@ -295,12 +293,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         doc = _dispatch(parser, args)
         payload = serialize(doc, args.format)
-    except SystemExit as exc:  # parser.error() during well resolution
+    except SystemExit as exc:  # --help, or a usage error from the parser
         return exc.code if isinstance(exc.code, int) else 2
     except (DomainError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

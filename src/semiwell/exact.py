@@ -22,6 +22,7 @@ import math
 from collections import namedtuple
 
 from .dimensionless import _check_int
+from .errors import DomainError
 from .solver import SolveConfig, newton_solve
 
 _EXACT_FIELDS = "n z z0 z_tilde energy_over_v0 v0_natural amplitude_sq_times_a p_inside"
@@ -42,6 +43,10 @@ def exact_solution(n: int) -> ExactSolutionRecord:
     """Closed-form record for the n-th exactly solvable well."""
     _check_int("family index", n, 0)
     odd = 8 * n + 3
+    # (8n + 3)^2 has a float below 8n + 3 = 6e153, and V0 overflows before that
+    v0_natural = odd * odd * math.pi * math.pi / 16.0 if odd < 6e153 else math.inf
+    if v0_natural == math.inf:
+        raise DomainError("family index must be at most 5.3348e152: V0 overflows")
     z = odd * math.pi / 4.0
     return ExactSolutionRecord(
         n=n,
@@ -49,7 +54,7 @@ def exact_solution(n: int) -> ExactSolutionRecord:
         z0=math.sqrt(2.0) * z,
         z_tilde=z,
         energy_over_v0=0.5,
-        v0_natural=odd * odd * math.pi * math.pi / 16.0,
+        v0_natural=v0_natural,
         amplitude_sq_times_a=2.0 * odd * math.pi / (odd * math.pi + 4.0),
         p_inside=(odd * math.pi + 2.0) / (odd * math.pi + 4.0),
     )

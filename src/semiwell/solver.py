@@ -20,12 +20,13 @@ no bracket.  The same loop finds the crossings of :mod:`semiwell.variants`
 between the bands (delta < 0).
 
 Inputs are checked once per public call; the loops below run on the plain
-float z0.  :func:`solve_all` counts the states once and solves each band as
-:func:`newton_solve` does, which alone adds :func:`bracket_for`'s check and
-the z history of the iterates.  A band with eps_m > 0 holds its root within
-its edges, with z_tilde > 0 and z < z0, and :func:`_band_root` refuses an
-iterate that a loose root_tol stopped outside them, so the solver builds
-its states bare, past the checks of :class:`BoundState`'s constructor and
+float z0.  :func:`solve_all` counts the states once and solves each band
+by :func:`_band_root`, as :func:`newton_solve` does, which alone adds
+:func:`bracket_for`'s check and the z history that ``semiwell solve``
+counts steps in.  A band with eps_m > 0 holds its root within its edges,
+with z_tilde > 0 and z < z0, and :func:`_band_root` refuses an iterate
+that a loose root_tol stopped outside them, so the solver builds its
+states bare, past the checks of :class:`BoundState`'s constructor and
 ``_replace``.
 """
 
@@ -37,6 +38,7 @@ from collections import namedtuple
 from .dimensionless import (
     BoundState,
     WellStrength,
+    _band_edges,
     _band_frame,
     _band_top,
     _check_int,
@@ -109,8 +111,8 @@ def bracket_for(m: int, z0: WellStrength | float) -> tuple[float, float]:
     Raises DomainError when band m holds no root for this z0 (z0 lies at or
     below its left edge) or is past float64's band resolution (m > 2^52).
     """
-    e_hi, e_lo, _ = _root_frame(m, strength_value(z0))
-    return e_hi, sum(_band_top(e_hi, e_lo))
+    _root_frame(m, strength_value(z0))
+    return _band_edges(m)
 
 
 def _root_frame(m: int, v: float) -> tuple[float, float, float]:
@@ -208,15 +210,6 @@ def _band_root(
     return z, z_tilde, xs, (start, hi, lo, s)
 
 
-def _solve_band(
-    m: int, v: float, frame: tuple[float, float, float], config: SolveConfig
-) -> tuple[BoundState, list, tuple]:
-    # band m's state and its iterates, for a validated strength v and the
-    # frame of the band, which holds a root
-    z, z_tilde, xs, where = _band_root(m, v, frame, config)
-    return tuple.__new__(BoundState, (m, z, z_tilde, (z / v) ** 2)), xs, where
-
-
 def newton_solve(
     m: int,
     z0: WellStrength | float,
@@ -231,9 +224,10 @@ def newton_solve(
     rounding floor of the residual.
     """
     v = strength_value(z0)
-    state, xs, (start, hi, lo, s) = _solve_band(m, v, _root_frame(m, v), config)
+    z, z_tilde, xs, (start, hi, lo, s) = _band_root(m, v, _root_frame(m, v), config)
     zs = [hi + (lo + s * x) for x in xs]
-    zs[0], zs[-1] = start, state.z
+    zs[0], zs[-1] = start, z
+    state = tuple.__new__(BoundState, (m, z, z_tilde, (z / v) ** 2))
     return state, NewtonTrace(tuple(zs), converged=True, fallback_bisections=0)
 
 
@@ -244,11 +238,15 @@ def solve_all(
     """All bound states of a well of strength z0, in increasing energy.
 
     One Newton solve per band; each root lies inside its own band, so the
-    returned roots are strictly increasing.
+    returned roots are strictly increasing.  A well of more than 2^52
+    states (z0 above about 1.4e16) raises DomainError before any solve.
     """
     v = strength_value(z0)
+    n = count_bound_states(v)
+    if n > 2**52:  # the top band's frame raises its refusal before any solve
+        _band_frame(n, v)
     states = []
-    for m in range(1, count_bound_states(v) + 1):
+    for m in range(1, n + 1):
         z, z_tilde, _, _ = _band_root(m, v, _band_frame(m, v), config)
         states.append(tuple.__new__(BoundState, (m, z, z_tilde, (z / v) ** 2)))
     return states

@@ -114,6 +114,14 @@ def test_exact_rejects_negative_index(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("n", [6 * 10**152, 10**160])
+def test_exact_refuses_an_index_whose_depth_overflows(capsys, n):
+    # V0 of the member was inf, or (8n + 3)^2 had no float: a traceback
+    code, out, err = invoke(capsys, "exact", "--n", str(n))
+    assert code == 1 and out == ""
+    assert err.startswith("error: family index") and "Traceback" not in err
+
+
 def test_variants_command(capsys):
     code, out, _ = invoke(capsys, "variants", "--kind", "sin", "--z0", "25")
     assert code == 0
@@ -335,6 +343,10 @@ def test_loose_tolerance_still_solves(capsys):
     roots = json.loads(out)["results"]["roots"]
     for row, want in zip(roots, ROOTS_15_TABLE):
         assert row["z"] == pytest.approx(want, abs=1e-4)
+    # so loose that Newton stops past z0 in band 2 of 5.0: refused
+    code, out, err = invoke(capsys, "solve", "--z0", "5", "--tol", "10")
+    assert code == 1 and out == ""
+    assert "root_tol=10.0 is too loose" in err
 
 
 # SHA-256 of the stdout of fixed invocations: a change meant to keep the
@@ -382,9 +394,8 @@ def test_solve_counts_the_states_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("z0", ["25", "1e3"])
 def test_solve_rows_are_the_library_states_and_steps(capsys, z0):
-    # the CLI reads each root and its step count from the band solve, the
-    # library its states and, from newton_solve alone, the iterates in z:
-    # both must describe the same solve
+    # each row is newton_solve's state and step count for its band, and
+    # solve_all, which solves the bands without a trace, must agree with it
     code, out, _ = invoke(capsys, "solve", "--z0", z0)
     assert code == 0
     roots = json.loads(out)["results"]["roots"]

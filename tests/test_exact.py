@@ -40,7 +40,7 @@ def test_energy_sits_exactly_halfway_up(n):
     assert exact_solution(n).energy_over_v0 == 0.5
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 10])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 5 * 10**152])
 def test_natural_depth_is_z_squared(n):
     # with hbar = 1, m = 1/2, a = 1: V0 = z0^2 / 2 = z^2
     rec = exact_solution(n)
@@ -107,10 +107,14 @@ def test_rejects_negative_index():
         exact_solution(-1)
 
 
-@pytest.mark.parametrize("n", [2.5, 1.5, 2.0, True, False, "1"])
+@pytest.mark.parametrize(
+    "n", [2.5, 1.5, 2.0, True, False, "1", 6 * 10**152, 10**160, 10**300]
+)
 def test_family_index_must_be_an_int(n):
     # 2.5 and True used to come back as records with n = 2.5 and n = True,
-    # and cross_validate(1.5) failed on a band index of 4.0
+    # and cross_validate(1.5) failed on a band index of 4.0; past n of about
+    # 5.3348e152 V0 overflowed to inf, and past about 1.7e153 the float
+    # conversion of (8n + 3)^2 raised OverflowError
     with pytest.raises(DomainError, match="family index"):
         exact_solution(n)
     with pytest.raises(DomainError, match="family index"):

@@ -568,6 +568,9 @@ def test_bands_past_float64_resolution_are_refused(z0):
         for call in (bracket_for, newton_solve):
             with pytest.raises(DomainError, match="float64's band resolution"):
                 call(m, z0)
+    # solve_all refuses the well before its loop, not after 2^52 solves
+    with pytest.raises(DomainError, match="float64's band resolution"):
+        solve_all(z0)
     assert count_bound_states(sys.float_info.max) > 10**307
 
 
