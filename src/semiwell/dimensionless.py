@@ -12,8 +12,8 @@ E = V0 (z / z0)^2.  Solutions only exist where cot(z) < 0, i.e. in the
 bands ((2m - 1) pi / 2, m pi) for m = 1, 2, ...  Their edges are placed
 here alone, exactly as pairs of floats while 2m - 1 is exact (m <= 2^52,
 float64's band resolution, past which the frame refuses a band): e_m by
-:func:`_band_frame` and m pi = e_m + pi / 2 by :func:`_band_top`.  Every
-edge check reads them.
+:func:`_band_frames`, a run of bands per call, and m pi = e_m + pi / 2
+by :func:`_band_top`.  Every edge check and every band solve reads them.
 
 Everything in this module is a pure function of z and z0.  Physical
 units enter only through :mod:`semiwell.units`.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .errors import DomainError
 
@@ -79,35 +80,38 @@ def _check_int(label: str, n: int, least: int) -> None:
         raise DomainError(f"{label} must be an int >= {least}, got {n!r}")
 
 
-def _split(a: float) -> tuple[float, float]:
-    # Dekker's split by 2^27 + 1: a = hi + lo, halves of 26 bits whose
-    # products are exact
-    c = 134217729.0 * a
-    hi = c - (c - a)
-    return hi, a - hi
+# math.pi = hi + lo by Dekker's split (2^27 + 1), halves of 26 bits each
+_PI_SPLIT = (3.1415926814079285, -2.781813535079891e-08)
 
 
-_PI_SPLIT = _split(math.pi)
+def _band_frames(bands: Iterable[int], v: float) -> Iterator[tuple]:
+    # the frame (m, hi, lo, eps) of each band m of bands.  Its left edge
+    # e_m = (2m - 1) pi / 2 = hi + lo, hi the float nearest it, to about 1e-32
+    # relative: (2m - 1) math.pi is its rounded product plus the exact error
+    # (Dekker's two-product), which (2m - 1)(pi - math.pi) joins.  Also
+    # eps = z0 - e_m, 0 at the threshold: z0 is hi or the float past hi
+    # toward e_m, so that no float lies strictly between z0 and e_m and no
+    # root z can satisfy e_m < z < z0.  Past band 2^52, where 2m - 1 has no
+    # exact float, no band can be placed.
+    ph, pl = _PI_SPLIT
+    for m in bands:
+        if m > 2**52:
+            raise DomainError(f"band m={m} is past float64's band resolution: m > 2^52")
+        x = float(2 * m - 1)
+        p = x * math.pi
+        c = 134217729.0 * x
+        xh = c - (c - x)
+        xl = x - xh
+        err = ((xh * ph - p) + xh * pl + xl * ph) + xl * pl + x * _PI_LO
+        hi = p + err
+        e_hi, e_lo = 0.5 * hi, 0.5 * (err - (hi - p))
+        at = v == e_hi or v == math.nextafter(e_hi, math.copysign(math.inf, e_lo))
+        yield m, e_hi, e_lo, 0.0 if at else (v - e_hi) - e_lo
 
 
 def _band_frame(m: int, v: float) -> tuple[float, float, float]:
-    # band m's left edge e_m = (2m - 1) pi / 2 = hi + lo, hi the float nearest
-    # it, to about 1e-32 relative: (2m - 1) math.pi is its rounded product
-    # plus the exact error (Dekker's two-product), which (2m - 1)(pi - math.pi)
-    # joins.  Also eps_m = z0 - e_m, 0 at the threshold: z0 is hi or the
-    # float past hi toward e_m, so that no float lies strictly between z0
-    # and e_m and no root z can satisfy e_m < z < z0.  Past band 2^52, where
-    # 2m - 1 has no exact float, no band can be placed.
-    if m > 2**52:
-        raise DomainError(f"band m={m} is past float64's band resolution: m > 2^52")
-    x = float(2 * m - 1)
-    p = x * math.pi
-    (xh, xl), (ph, pl) = _split(x), _PI_SPLIT
-    err = ((xh * ph - p) + xh * pl + xl * ph) + xl * pl + x * _PI_LO
-    hi = p + err
-    e_hi, e_lo = 0.5 * hi, 0.5 * (err - (hi - p))
-    at = v == e_hi or v == math.nextafter(e_hi, math.copysign(math.inf, e_lo))
-    return e_hi, e_lo, 0.0 if at else (v - e_hi) - e_lo
+    # band m's (hi, lo, eps) of _band_frames
+    return next(_band_frames((m,), v))[1:]
 
 
 def _band_top(e_hi: float, e_lo: float) -> tuple[float, float]:
@@ -116,10 +120,14 @@ def _band_top(e_hi: float, e_lo: float) -> tuple[float, float]:
     return hi, ((e_hi - hi) + _HALF_PI) + (e_lo + 0.5 * _PI_LO)
 
 
-def _band_edges(m: int) -> tuple[float, float]:
-    # the floats nearest the edges of band m, the only place a root can sit
-    e_hi, e_lo, _ = _band_frame(m, 0.0)
+def _frame_edges(frame: tuple[int, float, float, float]) -> tuple[float, float]:
+    # the floats nearest the edges of a frame's band, the only place a root can sit
+    _, e_hi, e_lo, _ = frame
     return e_hi, sum(_band_top(e_hi, e_lo))
+
+
+def _band_edges(m: int) -> tuple[float, float]:
+    return _frame_edges(next(_band_frames((m,), 0.0)))
 
 
 class BoundState(namedtuple("BoundState", "m z z_tilde energy_ratio")):

@@ -19,28 +19,30 @@ concave residual plain Newton from the band midpoint (4m - 1) pi / 4 needs
 no bracket.  The same loop finds the crossings of :mod:`semiwell.variants`
 between the bands (delta < 0).
 
-Inputs are checked once per public call; the loops below run on the plain
-float z0.  :func:`solve_all` counts the states once and solves each band
-by :func:`_band_root`, as :func:`newton_solve` does, which alone adds
-:func:`bracket_for`'s check and the z history that ``semiwell solve``
-counts steps in.  A band with eps_m > 0 holds its root within its edges,
-with z_tilde > 0 and z < z0, and :func:`_band_root` refuses an iterate
-that a loose root_tol stopped outside them, so the solver builds its
-states bare, past the checks of :class:`BoundState`'s constructor and
-``_replace``.
+Inputs are checked once per public call.  One batch kernel,
+:func:`_band_roots`, solves a run of bands per call with Newton inline on
+the plain float z0: :func:`solve_all` passes every counted band,
+:func:`newton_solve` one band past :func:`bracket_for`'s check, with a
+list for the z history that ``semiwell solve`` counts steps in, and
+:mod:`semiwell.variants` its bands and its starts between them.  A band
+with eps_m > 0 holds its root within its edges, with z_tilde > 0 and
+z < z0, and the kernel refuses an iterate that a loose root_tol stopped
+outside them, so the solver builds its states bare.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .dimensionless import (
     BoundState,
     WellStrength,
-    _band_edges,
     _band_frame,
+    _band_frames,
     _band_top,
+    _frame_edges,
     _check_int,
     _validated_make,
     strength_value,
@@ -111,16 +113,15 @@ def bracket_for(m: int, z0: WellStrength | float) -> tuple[float, float]:
     Raises DomainError when band m holds no root for this z0 (z0 lies at or
     below its left edge) or is past float64's band resolution (m > 2^52).
     """
-    _root_frame(m, strength_value(z0))
-    return _band_edges(m)
+    return _frame_edges(_root_frame(m, strength_value(z0)))
 
 
-def _root_frame(m: int, v: float) -> tuple[float, float, float]:
+def _root_frame(m: int, v: float) -> tuple[int, float, float, float]:
     # band m's frame, for a validated strength v, if the band holds a root;
     # m - 1 < z0 / pi compares exactly, so a huge m never reaches the frame,
     # and the count only words the error
     _check_int("interval index", m, 1)
-    if m - 1 < v / math.pi and (frame := _band_frame(m, v))[2] > 0.0:
+    if m - 1 < v / math.pi and (frame := next(_band_frames((m,), v)))[3] > 0.0:
         return frame
     raise DomainError(
         f"band m={m} holds no root: z0={v!r} supports "
@@ -128,86 +129,92 @@ def _root_frame(m: int, v: float) -> tuple[float, float, float]:
     )
 
 
-def _newton(
-    m: int,
+def _band_roots(
     v: float,
-    x: float,
-    eps: float,
-    m_pi: tuple[float, float] | None,
+    frames: Iterable[tuple[int, float, float, float]],
     config: SolveConfig,
-) -> list[float]:
-    """Plain Newton iterates on band m's residual from x; the last is the root.
+    trail: list[float] | None = None,
+    start: float | None = None,
+) -> Iterator[tuple[int, float, float]]:
+    """(m, z, z_tilde) of the root of each band frame (m, e_hi, e_lo, eps).
 
-    x is delta = z - e_m, on h(delta) = eps - delta - 2 z0 sin^2(delta / 2);
-    given m_pi, m pi = hi + lo, x is theta = m pi - z instead, on
-    theta + z0 sin(theta) - m pi.  Both are -(z - z0 |sin z|).  Stops when
-    the step drops below root_tol |x| or 4 ulps of x, then certifies the
-    residual against residual_tol (widened for a loose root_tol) plus its
-    rounding floor: |slope| ulp(x), and a few ulp(z0) from terms up to z0.
+    Newton in delta or theta stops when the step drops below root_tol |x|
+    or 4 ulps of x, then certifies the residual against residual_tol
+    (widened for a loose root_tol) plus its rounding floor: |slope| ulp(x),
+    and a few ulp(z0) from terms up to z0.  trail, if given, receives the
+    iterates in z.  Given start, Newton runs in delta from there instead,
+    for a crossing between the bands, and z is its last iterate.
     """
-    sin, cos, ulp = math.sin, math.cos, math.ulp
-    p_hi, p_lo = m_pi or (0.0, 0.0)
+    sin, cos, ulp, pi, inf = math.sin, math.cos, math.ulp, math.pi, math.inf
     root_tol = config.root_tol
-    iterates = [x]
-    step = math.inf
-    for _ in range(config.max_newton_iters + 1):
-        if m_pi:
-            fx = ((v * sin(x) - p_hi) + x) - p_lo
-            dfx = 1.0 + v * cos(x)
-        else:
-            s = sin(0.5 * x)
-            fx = eps - x - 2.0 * v * s * s
-            dfx = -1.0 - v * sin(x)
-        if (size := abs(step)) < root_tol * abs(x) or size < 4.0 * ulp(x):
-            break
-        step = fx / dfx if fx else 0.0
-        if x - step == x:
-            # no correction, or one below float resolution: x is the root
-            break
-        x -= step
-        iterates.append(x)
-    else:
-        raise ConvergenceError(
-            f"no convergence after {config.max_newton_iters} iterations "
-            f"for m={m}, z0={v!r}"
-        )
+    steps = range(config.max_newton_iters + 1)
     residual_cap = max(config.residual_tol, 10.0 * root_tol * max(1.0, v))
-    if abs(fx) > residual_cap + abs(dfx) * math.ulp(x) + 4.0 * math.ulp(v):
-        raise ConvergenceError(
-            f"step size converged but the residual {fx!r} exceeds tolerance "
-            f"for m={m}, z0={v!r}"
-        )
-    return iterates
-
-
-def _band_root(
-    m: int, v: float, frame: tuple[float, float, float], config: SolveConfig
-) -> tuple[float, float, list[float], tuple[float, float, float, float]]:
-    # z, z_tilde and the Newton iterates x of band m's root, with where they
-    # lie: x_0 at the float midpoint start, x_i at z = hi + (lo + s x_i)
-    hi, lo, eps = frame
-    start = (4 * m - 1) * math.pi / 4.0
-    if eps > 0.25 * math.pi + _MIDPOINT_SAG * v:
-        # h > 0 at the midpoint: the root lies past it, nearer m pi = e_m + pi/2
-        hi, lo = _band_top(hi, lo)
-        xs = _newton(m, v, (hi - start) + lo, eps, (hi, lo), config)
-        s, z_tilde = -1.0, v * math.cos(xs[-1])
-    else:
-        xs = _newton(m, v, (start - hi) - lo, eps, None, config)
-        s, z_tilde = 1.0, v * math.sin(xs[-1])
-    z = start if len(xs) == 1 else hi + (lo + s * xs[-1])
-    # the iterates never pass the start; a loose root_tol can stop them short
-    # of the root, past z0 (delta) or past m pi (theta <= 0)
-    if not (xs[-1] > 0.0 and z <= v):
-        raise ConvergenceError(
-            f"Newton stopped at z={z!r}, outside the roots of band m={m} for "
-            f"z0={v!r}: root_tol={config.root_tol!r} is too loose"
-        )
-    # E < V0: a root within half an ulp of z0 is reported one ulp below it,
-    # which the threshold rule of _band_frame keeps above e_m
-    if z == v:
-        z = math.nextafter(v, 0.0)
-    return z, z_tilde, xs, (start, hi, lo, s)
+    ulps_v = 4.0 * ulp(v)
+    sag = 0.25 * pi + _MIDPOINT_SAG * v
+    for m, hi, lo, eps in frames:
+        if start is not None:
+            theta, x, s = False, start, 1.0
+        else:
+            mid = (4 * m - 1) * pi / 4.0
+            theta = eps > sag
+            if theta:
+                # the root lies past the midpoint, nearer m pi = e_m + pi/2
+                hi, lo = _band_top(hi, lo)
+                x, s = (hi - mid) + lo, -1.0
+            else:
+                x, s = (mid - hi) - lo, 1.0
+            if trail is not None:
+                trail.append(mid)
+        step = inf
+        for i in steps:
+            # z_tilde is z0 cos(theta) or z0 sin(delta), taken from the slope
+            if theta:
+                z_tilde = v * cos(x)
+                fx = ((v * sin(x) - hi) + x) - lo
+                dfx = 1.0 + z_tilde
+            else:
+                z_tilde = v * sin(x)
+                h = sin(0.5 * x)
+                fx = eps - x - 2.0 * v * h * h
+                dfx = -1.0 - z_tilde
+            if (size := abs(step)) < root_tol * abs(x) or size < 4.0 * ulp(x):
+                break
+            step = fx / dfx if fx else 0.0
+            if x - step == x:
+                # no correction, or one below float resolution: x is the root
+                break
+            x -= step
+            if trail is not None:
+                trail.append(hi + (lo + s * x))
+        else:
+            raise ConvergenceError(
+                f"no convergence after {config.max_newton_iters} iterations "
+                f"for m={m}, z0={v!r}"
+            )
+        if abs(fx) > residual_cap + abs(dfx) * ulp(x) + ulps_v:
+            raise ConvergenceError(
+                f"step size converged but the residual {fx!r} exceeds tolerance "
+                f"for m={m}, z0={v!r}"
+            )
+        if start is not None:
+            yield m, hi + (lo + x), z_tilde
+            continue
+        # a band solved with no Newton step reports the float midpoint
+        z = mid if i == 0 else hi + (lo + s * x)
+        # the iterates never pass the start; a loose root_tol can stop them
+        # short of the root, past z0 (delta) or past m pi (theta <= 0)
+        if not (x > 0.0 and z <= v):
+            raise ConvergenceError(
+                f"Newton stopped at z={z!r}, outside the roots of band m={m} for "
+                f"z0={v!r}: root_tol={config.root_tol!r} is too loose"
+            )
+        # E < V0: a root within half an ulp of z0 is reported one ulp below it,
+        # which the threshold rule of _band_frames keeps above e_m
+        if z == v:
+            z = math.nextafter(v, 0.0)
+        if trail is not None:
+            trail[-1] = z
+        yield m, z, z_tilde
 
 
 def newton_solve(
@@ -224,9 +231,8 @@ def newton_solve(
     rounding floor of the residual.
     """
     v = strength_value(z0)
-    z, z_tilde, xs, (start, hi, lo, s) = _band_root(m, v, _root_frame(m, v), config)
-    zs = [hi + (lo + s * x) for x in xs]
-    zs[0], zs[-1] = start, z
+    zs: list[float] = []
+    [(_, z, z_tilde)] = _band_roots(v, (_root_frame(m, v),), config, zs)
     state = tuple.__new__(BoundState, (m, z, z_tilde, (z / v) ** 2))
     return state, NewtonTrace(tuple(zs), converged=True, fallback_bisections=0)
 
@@ -245,8 +251,8 @@ def solve_all(
     n = count_bound_states(v)
     if n > 2**52:  # the top band's frame raises its refusal before any solve
         _band_frame(n, v)
-    states = []
-    for m in range(1, n + 1):
-        z, z_tilde, _, _ = _band_root(m, v, _band_frame(m, v), config)
-        states.append(tuple.__new__(BoundState, (m, z, z_tilde, (z / v) ** 2)))
-    return states
+    new = tuple.__new__
+    return [
+        new(BoundState, (m, z, z_tilde, (z / v) ** 2))
+        for m, z, z_tilde in _band_roots(v, _band_frames(range(1, n + 1), v), config)
+    ]

@@ -34,12 +34,13 @@ give the count; the parity of the cell is the ``spurious`` flag.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import namedtuple
 
-from .dimensionless import _HALF_PI, WellStrength, _band_frame, strength_value
+from .dimensionless import _HALF_PI, WellStrength, _band_frames, strength_value
 from .errors import DomainError
-from .solver import SolveConfig, _band_root, _newton, count_bound_states
+from .solver import SolveConfig, _band_roots, count_bound_states
 
 
 class VariantKind(enum.Enum):
@@ -99,12 +100,12 @@ class VariantReport(namedtuple("VariantReport", "kind intersections")):
 
 
 def _gap_crossings(
-    m: int, v: float, frame: tuple[float, float, float], config: SolveConfig
+    v: float, frame: tuple[int, float, float, float], config: SolveConfig
 ) -> list[float]:
     # roots of z = z0 |sin z| between bands m - 1 and m, delta = z - e_m in
     # (-pi/2, 0), in increasing z: h rises from -(m - 1) pi to its maximum at
     # -arcsin(1/z0), then falls to eps; for z0 <= 1 it only falls
-    e_hi, e_lo, eps = frame
+    m, _, _, eps = frame
     if v <= 1.0:
         return []
     d = -math.asin(1.0 / v)
@@ -113,7 +114,7 @@ def _gap_crossings(
     # started from a piece end, where h < 0, Newton on a concave h never
     # crosses the root
     starts = ([-_HALF_PI] if m > 1 else []) + ([0.0] if eps < 0.0 else [])
-    return [e_hi + (e_lo + _newton(m, v, x, eps, None, config)[-1]) for x in starts]
+    return [z for x in starts for _, z, _ in _band_roots(v, (frame,), config, start=x)]
 
 
 def enumerate_intersections(
@@ -133,20 +134,18 @@ def enumerate_intersections(
     v = strength_value(z0)
     config = SolveConfig()
     g = _G[kind]
+    bands = itertools.takewhile(lambda m: (m - 1) * math.pi < v, itertools.count(1))
+    frames = list(_band_frames(bands, v))
+    # band m, then the cell below it, tested at their middles
+    genuine = [f[3] > 0.0 and g((f[0] - 0.25) * math.pi) > 0.0 for f in frames]
+    roots = _band_roots(v, itertools.compress(frames, genuine), config)
     found: list[Intersection] = []
-    m = 1
-    while (m - 1) * math.pi < v:
-        # the cell below band m, then band m itself, tested at their middles
-        gap, band = g((m - 0.75) * math.pi) > 0.0, g((m - 0.25) * math.pi) > 0.0
-        if gap or band:
-            frame = _band_frame(m, v)
-            if gap:
-                for z in _gap_crossings(m, v, frame, config):
-                    found.append(Intersection(z=z, spurious=True))
-            if band and frame[2] > 0.0:
-                z = _band_root(m, v, frame, config)[0]
-                found.append(Intersection(z=z, spurious=False))
-        m += 1
+    for frame, band in zip(frames, genuine):
+        if g((frame[0] - 0.75) * math.pi) > 0.0:
+            for z in _gap_crossings(v, frame, config):
+                found.append(Intersection(z=z, spurious=True))
+        if band:
+            found.append(Intersection(z=next(roots)[1], spurious=False))
     return VariantReport(kind=kind, intersections=tuple(found))
 
 

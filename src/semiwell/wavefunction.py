@@ -75,7 +75,8 @@ def build_wavefunction(
     i1 = (a / (4.0 * z)) * (2.0 * z - math.sin(2.0 * z))
     i2 = a * sin_z**2 / (2.0 * zt)
     amplitude = 1.0 / math.sqrt(i1 + i2)
-    return WavefunctionSpec(a, z / a, zt / a, amplitude, amplitude * sin_z)
+    spec = (a, z / a, zt / a, amplitude, amplitude * sin_z)
+    return tuple.__new__(WavefunctionSpec, spec)  # it has no checks to skip
 
 
 def evaluate(spec: WavefunctionSpec, x: float) -> float:

@@ -349,6 +349,13 @@ def test_loose_tolerance_still_solves(capsys):
     assert "root_tol=10.0 is too loose" in err
 
 
+def test_an_iteration_cap_too_low_is_refused(capsys):
+    # the first band needs more than one Newton step from its midpoint
+    code, out, err = invoke(capsys, "solve", "--z0", "15", "--max-iter", "1")
+    assert code == 1 and out == ""
+    assert err == "error: no convergence after 1 iterations for m=1, z0=15.0\n"
+
+
 # SHA-256 of the stdout of fixed invocations: a change meant to keep the
 # output (a speed-up, a refactor) and that moves any byte of it fails here
 GOLDEN_STDOUT = {

@@ -6,6 +6,7 @@ sqrt(z0^2 - z^2) = -z cot(z), rounded to 17 digits.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -33,7 +34,7 @@ from semiwell import (
     solve_all,
 )
 from semiwell.cli import run
-from semiwell.dimensionless import _band_edges
+from semiwell.dimensionless import _PI_SPLIT, _band_edges
 from semiwell.solver import _band_frame
 
 # pi - math.pi, from a 50-digit mpmath value of pi
@@ -525,6 +526,33 @@ def test_solve_all_is_newton_solve_band_by_band(z0):
     states = solve_all(z0)
     singles = [newton_solve(m, z0)[0] for m in range(1, count_bound_states(z0) + 1)]
     assert repr(states) == repr(singles)
+
+
+# SHA-256 of every field of solve_all's states, floats as float.hex, one
+# state a line as "m z z_tilde energy_ratio", frozen before solve_all and
+# newton_solve shared one band kernel: unlike the test above, a bit that
+# drifts in both at once still fails here
+STATE_DIGESTS = {
+    15.0: "169c6e2049838e053d677adc7651ab04c9bdf0086afe7e8deac3bce63720d28e",
+    1e4: "7fe1939b03129607bf6d67ed5d0a61a3678bee258530ba9fb0a164bcfd5f3f0c",
+    2e5: "714768850dec26c848b439b910c1abbea6e24b6afae9824d9387a9722eaaa70a",
+    21 * math.pi / 2 + 1e-7: "c60b39098218d2fdb02e7f2c98e773d5ae247d647d39643b0bb8b292036dfc8c",
+}
+
+
+@pytest.mark.parametrize("z0", list(STATE_DIGESTS))
+def test_solve_all_bits_are_frozen(z0):
+    text = "\n".join(
+        f"{s.m} {s.z.hex()} {s.z_tilde.hex()} {s.energy_ratio.hex()}" for s in solve_all(z0)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == STATE_DIGESTS[z0]
+
+
+def test_pi_split_is_dekkers():
+    # the frame's two-product needs math.pi in halves of 26 bits
+    c = 134217729.0 * math.pi
+    hi = c - (c - math.pi)
+    assert _PI_SPLIT == (hi, math.pi - hi)
 
 
 # frozen, 50-digit mpmath: low states of very deep wells, (z0, m, z, z_tilde).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -186,3 +187,22 @@ def test_crossings_split_cleanly_across_forms(z0):
     for kind in VariantKind:
         genuine = enumerate_intersections(kind, z0).genuine_roots()
         assert filtered_equivalence(kind, z0) == (genuine == roots)
+
+
+# SHA-256 of the crossings of all four kinds, "kind z spurious" a line with
+# z as float.hex, frozen before the band and gap solves shared one kernel
+CROSSING_DIGESTS = {
+    25.0: "512536d9a49ac12b1569272769b8338b56284f60d486fae3da99dbe9eb7ccd03",
+    220.0: "475312670ebb8150823ae196b3efd41b7c7186705b4c50c7a318669f966545e4",
+    49.3: "ba51b2f18cfc8de5b88ce07042f165d7151782059ace61740c99ec0bb2e371ae",
+}
+
+
+@pytest.mark.parametrize("z0", list(CROSSING_DIGESTS))
+def test_crossing_bits_are_frozen(z0):
+    text = "\n".join(
+        f"{kind.value} {i.z.hex()} {i.spurious}"
+        for kind in VariantKind
+        for i in enumerate_intersections(kind, z0).intersections
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == CROSSING_DIGESTS[z0]
