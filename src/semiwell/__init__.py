@@ -15,7 +15,6 @@ from .dimensionless import (
     interval_index,
     residual_exact,
     residual_interval,
-    residual_interval_derivative,
     strength_value,
 )
 from .errors import ConvergenceError, DomainError
@@ -106,7 +105,6 @@ __all__ = [
     "quadrature_norm_check",
     "residual_exact",
     "residual_interval",
-    "residual_interval_derivative",
     "serialize",
     "solve_all",
     "strength_from_physical",

@@ -109,11 +109,6 @@ def _band_frames(bands: Iterable[int], v: float) -> Iterator[tuple]:
         yield m, e_hi, e_lo, 0.0 if at else (v - e_hi) - e_lo
 
 
-def _band_frame(m: int, v: float) -> tuple[float, float, float]:
-    # band m's (hi, lo, eps) of _band_frames
-    return next(_band_frames((m,), v))[1:]
-
-
 def _band_top(e_hi: float, e_lo: float) -> tuple[float, float]:
     # band m's right edge m pi = e_m + pi / 2 as a pair hi + lo, by Fast2Sum
     hi = e_hi + _HALF_PI
@@ -191,14 +186,6 @@ def residual_interval(z: float, m: int, z0: WellStrength | float) -> float:
     v = strength_value(z0)
     sign = -1.0 if m % 2 else 1.0
     return z + sign * v * math.sin(z)
-
-
-def residual_interval_derivative(z: float, m: int, z0: WellStrength | float) -> float:
-    """d/dz of :func:`residual_interval`: 1 + (-1)^m z0 cos(z)."""
-    _check_int("interval index", m, 1)
-    v = strength_value(z0)
-    sign = -1.0 if m % 2 else 1.0
-    return 1.0 + sign * v * math.cos(z)
 
 
 def energy_ratio(z: float, z0: WellStrength | float) -> float:

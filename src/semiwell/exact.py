@@ -2,12 +2,16 @@
 
 Whenever sin(2z) = -1 and z_tilde = z, both the eigenvalue equation and
 the circle constraint hold with elementary values.  That happens at
+z = (4k + 3) pi / 4 with z0 = sqrt(2) z, on band k + 1, where the state
+sits exactly halfway up the well, E / V0 = 1/2, and the normalization
+integral collapses to a rational expression.  The family coded here is
+the odd-band half, k = 2n:
 
     z_n = (8n + 3) pi / 4,      z0_n = sqrt(2) z_n,      n = 0, 1, 2, ...
 
-where the state sits exactly halfway up the well, E / V0 = 1/2, and the
-normalization integral collapses to a rational expression.  In natural
-units (hbar = 1, m = 1/2, a = 1) the matching depth is
+on band 2n + 1.  The even-band half, z = (8n + 7) pi / 4 on band 2n + 2,
+is not coded, though the solver finds its states too.  In natural units
+(hbar = 1, m = 1/2, a = 1) the matching depth is
 V0 = (8n + 3)^2 pi^2 / 16.  These members double as an analytic
 cross-check of the Newton solver.
 

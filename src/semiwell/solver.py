@@ -39,7 +39,6 @@ from collections.abc import Iterable, Iterator
 from .dimensionless import (
     BoundState,
     WellStrength,
-    _band_frame,
     _band_frames,
     _band_top,
     _frame_edges,
@@ -93,18 +92,18 @@ def count_bound_states(z0: WellStrength | float) -> int:
     """Number of bound states held by a well of strength z0.
 
     The number of bands m with eps_m = z0 - (2m - 1) pi / 2 > 0 in
-    :func:`_band_frame`, which is 0 at a threshold: none at and below pi/2.
+    :func:`_band_frames`, which is 0 at a threshold: none at and below pi/2.
     The estimate round(z0 / pi) is corrected by the frames of its band and
-    the next.  Above about 1.4e16, where 2m - 1 is no longer exact as a
-    float, the count is only as exact as z0 / pi in float.
+    the next, placed in one pass.  Above about 1.4e16, where 2m - 1 is no
+    longer exact as a float, the count is only as exact as z0 / pi in float.
     """
     v = strength_value(z0)
     n = round(v / math.pi)
     if n >= 2**52:
         return n
-    if _band_frame(n + 1, v)[2] > 0.0:
-        return n + 1
-    return n if n == 0 or _band_frame(n, v)[2] > 0.0 else n - 1
+    # band 0's eps, z0 + pi/2, is positive: the count never falls below 0
+    (_, _, _, here), (_, _, _, past) = _band_frames((n, n + 1), v)
+    return n + 1 if past > 0.0 else n if here > 0.0 else n - 1
 
 
 def bracket_for(m: int, z0: WellStrength | float) -> tuple[float, float]:
@@ -250,7 +249,7 @@ def solve_all(
     v = strength_value(z0)
     n = count_bound_states(v)
     if n > 2**52:  # the top band's frame raises its refusal before any solve
-        _band_frame(n, v)
+        next(_band_frames((n,), v))
     new = tuple.__new__
     return [
         new(BoundState, (m, z, z_tilde, (z / v) ** 2))

@@ -134,14 +134,17 @@ def enumerate_intersections(
     v = strength_value(z0)
     config = SolveConfig()
     g = _G[kind]
+    # g has period 2 pi, so band m and the cell below it keep as band
+    # 2 - m % 2 and its cell, tested at their middles; indexed by m % 2
+    band_keep = (g(1.75 * math.pi) > 0.0, g(0.75 * math.pi) > 0.0)
+    cell_keep = (g(1.25 * math.pi) > 0.0, g(0.25 * math.pi) > 0.0)
     bands = itertools.takewhile(lambda m: (m - 1) * math.pi < v, itertools.count(1))
     frames = list(_band_frames(bands, v))
-    # band m, then the cell below it, tested at their middles
-    genuine = [f[3] > 0.0 and g((f[0] - 0.25) * math.pi) > 0.0 for f in frames]
+    genuine = [f[3] > 0.0 and band_keep[f[0] % 2] for f in frames]
     roots = _band_roots(v, itertools.compress(frames, genuine), config)
     found: list[Intersection] = []
     for frame, band in zip(frames, genuine):
-        if g((frame[0] - 0.75) * math.pi) > 0.0:
+        if cell_keep[frame[0] % 2]:
             for z in _gap_crossings(v, frame, config):
                 found.append(Intersection(z=z, spurious=True))
         if band:
@@ -156,8 +159,10 @@ def filtered_equivalence(kind: VariantKind, z0: WellStrength | float) -> bool:
     bands, and no others, hold a genuine crossing, the band solve's root
     (see :func:`enumerate_intersections`), so it cannot disagree with the
     spectrum in value.  NEG_SIN fails by losing entire bands, SIN by losing
-    every even one.
+    every even one: SIN holds only for N <= 1, NEG_SIN only for N = 0.
+    Bands 1 and 2 decide at any depth.
     """
     g = _G[kind]
     n = count_bound_states(z0)
-    return all(g((m - 0.25) * math.pi) > 0.0 for m in range(1, n + 1))
+    # g has period 2 pi, so band m tests as band 2 - m % 2
+    return all(g((m - 0.25) * math.pi) > 0.0 for m in range(1, min(n, 2) + 1))

@@ -24,7 +24,6 @@ from semiwell import (
     newton_solve,
     residual_exact,
     residual_interval,
-    residual_interval_derivative,
     solve_all,
     strength_value,
 )
@@ -170,8 +169,6 @@ def test_residual_interval_vanishes_at_exact_family_root():
 def test_residual_interval_rejects_bad_index():
     with pytest.raises(DomainError):
         residual_interval(1.0, 0, 15.0)
-    with pytest.raises(DomainError):
-        residual_interval_derivative(1.0, -1, 15.0)
 
 
 @pytest.mark.parametrize("m", [0, -1, 2.5, 3.0, True, "2", None])
@@ -181,22 +178,11 @@ def test_band_index_must_be_a_positive_int(m):
     with pytest.raises(DomainError, match="interval index"):
         residual_interval(3.0, m, 15.0)
     with pytest.raises(DomainError, match="interval index"):
-        residual_interval_derivative(3.0, m, 15.0)
-    with pytest.raises(DomainError, match="interval index"):
         bracket_for(m, 15.0)
     with pytest.raises(DomainError, match="interval index"):
         newton_solve(m, 15.0)
     with pytest.raises(DomainError, match="interval index"):
         BoundState(m=m, z=2.944, z_tilde=14.708, energy_ratio=0.0385)
-
-
-def test_derivative_matches_finite_difference():
-    h = 1e-7
-    for m, z in [(1, 2.2), (2, 5.1), (3, 8.4)]:
-        fd = (
-            residual_interval(z + h, m, 15.0) - residual_interval(z - h, m, 15.0)
-        ) / (2 * h)
-        assert residual_interval_derivative(z, m, 15.0) == pytest.approx(fd, rel=1e-6)
 
 
 def test_energy_ratio_values():

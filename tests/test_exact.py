@@ -134,3 +134,13 @@ def test_cross_validated_member_is_the_expected_state():
         match = min(states, key=lambda s: abs(s.z - rec.z))
         assert match.m == 2 * n + 1
         assert match.energy_ratio == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(0, 4))
+def test_even_band_half_of_the_family_solves_too(n):
+    # sin 2z = -1 with z_tilde = z also holds at z = (8n + 7) pi / 4, on
+    # band 2n + 2, the half exact_solution does not code
+    z = (8 * n + 7) * math.pi / 4.0
+    state = solve_all(math.sqrt(2.0) * z)[2 * n + 1]
+    assert state.m == 2 * n + 2
+    assert abs(state.z - z) <= math.ulp(z)

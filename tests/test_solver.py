@@ -34,11 +34,16 @@ from semiwell import (
     solve_all,
 )
 from semiwell.cli import run
-from semiwell.dimensionless import _PI_SPLIT, _band_edges
-from semiwell.solver import _band_frame
+from semiwell.dimensionless import _PI_SPLIT, _band_edges, _band_frames
 
 # pi - math.pi, from a 50-digit mpmath value of pi
 PI_LO = 1.2246467991473532e-16
+
+
+def _frame(m, z0):
+    # band m's (hi, lo, eps), from a one-band pass of the frame generator
+    return next(_band_frames((m,), z0))[1:]
+
 
 ROOTS_15 = [
     2.9440408044848854,
@@ -331,7 +336,7 @@ def _replayed_iterates(m, z0, config=SolveConfig()):
     # delta = z - e_m, or, where h > 0 at the midpoint delta = pi/4, on
     # theta + z0 sin(theta) - m pi, theta = m pi - z; iterates mapped to z
     sin, cos = math.sin, math.cos
-    e_hi, e_lo, _ = _band_frame(m, z0)
+    e_hi, e_lo, _ = _frame(m, z0)
     eps = (z0 - e_hi) - e_lo
     start = (4 * m - 1) * math.pi / 4.0
     if eps - math.pi / 4 - 2.0 * z0 * sin(math.pi / 8) ** 2 > 0.0:
@@ -412,15 +417,15 @@ def test_band_edges_are_exact_pairs():
     ms = list(range(1, 200)) + [500_001, 2**40 + 3, 318_309_886_184, 2**52 - 1]
     for m in ms:
         exact = (2 * m - 1) * pi / 2
-        hi, lo, eps = _band_frame(m, 1e300)
+        hi, lo, eps = _frame(m, 1e300)
         assert hi == float(exact)
         assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * 2**-104
         side = math.inf if Fraction(hi) < exact else -math.inf
         below, above = sorted([hi, math.nextafter(hi, side)])
         assert Fraction(below) < exact < Fraction(above)
-        assert _band_frame(m, below)[2] == 0.0 == _band_frame(m, above)[2]
-        assert _band_frame(m, hi)[2] == 0.0
-        assert _band_frame(m, math.nextafter(above, math.inf))[2] > 0.0 < eps
+        assert _frame(m, below)[2] == 0.0 == _frame(m, above)[2]
+        assert _frame(m, hi)[2] == 0.0
+        assert _frame(m, math.nextafter(above, math.inf))[2] > 0.0 < eps
         assert _band_edges(m) == (hi, float(m * pi))
 
 

@@ -136,17 +136,38 @@ def test_correct_form_in_a_stateless_well_finds_nothing():
     assert report.n_total == 0
 
 
-@pytest.mark.parametrize("z0", [5.0, 15.0, 25.0, 40.0] + NEAR_THRESHOLD)
+# deep wells, where a loop over every band could not finish; from 1e17
+# the count passes 2^52 bands
+DEEP = [1e8, 1e12, 1e17, 1e300]
+
+
+@pytest.mark.parametrize("z0", [5.0, 15.0, 25.0, 40.0] + NEAR_THRESHOLD + DEEP)
 @pytest.mark.parametrize("kind", [VariantKind.ABS_SIN, VariantKind.CORRECT])
 def test_filtering_recovers_spectrum_for_sign_safe_forms(kind, z0):
     assert filtered_equivalence(kind, z0)
 
 
-def test_filtering_cannot_rescue_the_wrong_branch():
+@pytest.mark.parametrize("z0", [15.0, 25.0] + DEEP)
+def test_filtering_cannot_rescue_the_wrong_branch(z0):
     # the -sin form has no crossing at all in odd bands, so filtering
     # leaves it short of the true spectrum
-    assert not filtered_equivalence(VariantKind.NEG_SIN, 25.0)
-    assert not filtered_equivalence(VariantKind.SIN, 15.0)
+    assert not filtered_equivalence(VariantKind.NEG_SIN, z0)
+    assert not filtered_equivalence(VariantKind.SIN, z0)
+
+
+@pytest.mark.parametrize(
+    "z0",
+    [0.5, 1.5, 2.0, 4.0, 4.8, 5.0, 7.0, 8.0]
+    + NEAR_THRESHOLD[:4]
+    + ULP_ABOVE_THRESHOLD[:3]
+    + AT_THRESHOLD[:3],
+)
+def test_sin_forms_hold_only_in_the_shallowest_wells(z0):
+    # SIN keeps only odd bands and NEG_SIN only even ones, so SIN recovers
+    # the spectrum exactly when N <= 1 and NEG_SIN exactly when N = 0
+    n = count_bound_states(z0)
+    assert filtered_equivalence(VariantKind.SIN, z0) == (n <= 1)
+    assert filtered_equivalence(VariantKind.NEG_SIN, z0) == (n == 0)
 
 
 @pytest.mark.parametrize(
