@@ -31,10 +31,12 @@ from .output import (
 from .solver import (
     NewtonTrace,
     SolveConfig,
+    Spectrum,
     bracket_for,
     count_bound_states,
     newton_solve,
     solve_all,
+    solve_spectrum,
 )
 from .units import (
     ELECTRON_MASS_SI,
@@ -80,6 +82,7 @@ __all__ = [
     "OutputDocument",
     "PhysicalWell",
     "SolveConfig",
+    "Spectrum",
     "VariantKind",
     "VariantReport",
     "WavefunctionSpec",
@@ -107,6 +110,7 @@ __all__ = [
     "residual_interval",
     "serialize",
     "solve_all",
+    "solve_spectrum",
     "strength_from_physical",
     "strength_value",
     "variant_residual",

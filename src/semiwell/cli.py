@@ -21,6 +21,7 @@ ev-nm (electron masses, nanometers, electronvolts).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any, Sequence
 
@@ -28,7 +29,7 @@ from .dimensionless import WellStrength, residual_exact
 from .errors import ConvergenceError, DomainError
 from .exact import exact_solution
 from .output import CurveKind, OutputDocument, emit_curves, serialize
-from .solver import SolveConfig, count_bound_states, newton_solve
+from .solver import SolveConfig, count_bound_states, newton_solve, solve_spectrum
 from .units import (
     ELECTRON_MASS_SI,
     EV_SI,
@@ -162,38 +163,15 @@ def _solver_config(args: argparse.Namespace) -> SolveConfig:
     return SolveConfig(root_tol=args.tol, max_newton_iters=args.max_iter)
 
 
-def _enumerable_count(strength: WellStrength) -> int:
-    """Number of bound states, refused above the enumeration cap."""
-    n = count_bound_states(strength)
-    if n > _MAX_ENUMERATED_STATES:
+def _check_enumerable(strength: WellStrength) -> None:
+    # refuse a well past the enumeration cap; band cap + 1 opens at
+    # (cap + 1/2) pi, so only a well deeper than cap pi is counted
+    cap = _MAX_ENUMERATED_STATES
+    if strength.z0 > cap * math.pi and (n := count_bound_states(strength)) > cap:
         raise DomainError(
-            f"well holds {n} states, above the enumeration cap "
-            f"({_MAX_ENUMERATED_STATES}); use the count command"
+            f"well holds {n} states, above the enumeration cap ({cap}); "
+            "use the count command"
         )
-    return n
-
-
-def _solve_payload(
-    strength: WellStrength, config: SolveConfig
-) -> tuple[dict[str, Any], dict[str, Any]]:
-    n = _enumerable_count(strength)
-    roots = []
-    iters_total = 0
-    max_residual = 0.0
-    for m in range(1, n + 1):
-        state, trace = newton_solve(m, strength, config)
-        res = residual_exact(state.z, strength)
-        max_residual = max(max_residual, abs(res))
-        iters = len(trace.iterates) - 1
-        iters_total += iters
-        roots.append({**state._asdict(), "residual": res, "newton_iters": iters})
-    results = {"count": n, "roots": roots}
-    diagnostics = {
-        "newton_iters_total": iters_total,
-        "fallback_bisections_total": 0,  # Newton needs no fallback step
-        "max_abs_residual": max_residual,
-    }
-    return results, diagnostics
 
 
 def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> OutputDocument:
@@ -209,7 +187,18 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
         strength, _, inputs = _resolve_well(parser, args)
         config = _solver_config(args)
         inputs.update({"tol": config.root_tol, "max_iter": config.max_newton_iters})
-        results, diagnostics = _solve_payload(strength, config)
+        _check_enumerable(strength)
+        states, steps = solve_spectrum(strength, config)
+        roots = [
+            {**s._asdict(), "residual": residual_exact(s.z, strength), "newton_iters": i}
+            for s, i in zip(states, steps)
+        ]
+        diagnostics = {
+            "newton_iters_total": sum(steps),
+            "fallback_bisections_total": 0,  # Newton needs no fallback step
+            "max_abs_residual": max((abs(r["residual"]) for r in roots), default=0.0),
+        }
+        results = {"count": len(states), "roots": roots}
         return OutputDocument(
             command="solve", inputs=inputs, results=results, diagnostics=diagnostics
         )
@@ -255,7 +244,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
         strength, _, inputs = _resolve_well(parser, args)
         kind = VariantKind(args.kind)
         inputs["kind"] = kind.value
-        _enumerable_count(strength)
+        _check_enumerable(strength)
         report = enumerate_intersections(kind, strength)
         return OutputDocument(
             command="variants",

@@ -48,7 +48,7 @@ class WellStrength(namedtuple("WellStrength", "z0")):
     __slots__ = ()
 
     def __new__(cls, z0: float) -> WellStrength:
-        self = tuple.__new__(cls, (z0,))
+        self = tuple.__new__(cls, (_as_float(z0),))
         self.__post_init__()
         return self
 
@@ -60,6 +60,14 @@ class WellStrength(namedtuple("WellStrength", "z0")):
     _make = classmethod(_validated_make)
 
 
+def _as_float(z0: float) -> float:
+    # float(z0), or a DomainError that names the cause: 10**400 has 401 digits
+    try:
+        return float(z0)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"well strength must be a float64 number: {exc}") from None
+
+
 def _check_strength(v: float) -> None:
     if not math.isfinite(v) or v <= 0.0:
         raise DomainError(f"well strength must be finite and positive, got {v!r}")
@@ -69,7 +77,7 @@ def strength_value(z0: WellStrength | float) -> float:
     """Validated float value of a well strength passed either way."""
     if isinstance(z0, WellStrength):
         return z0.z0
-    v = float(z0)
+    v = _as_float(z0)
     _check_strength(v)
     return v
 

@@ -21,9 +21,10 @@ between the bands (delta < 0).
 
 Inputs are checked once per public call.  One batch kernel,
 :func:`_band_roots`, solves a run of bands per call with Newton inline on
-the plain float z0: :func:`solve_all` passes every counted band,
-:func:`newton_solve` one band past :func:`bracket_for`'s check, with a
-list for the z history that ``semiwell solve`` counts steps in, and
+the plain float z0: :func:`solve_spectrum` passes every counted band, with
+a list for the step counts that ``semiwell solve`` prints, and
+:func:`solve_all` reads its states; :func:`newton_solve` passes one band
+past :func:`bracket_for`'s check, with a list for the z history; and
 :mod:`semiwell.variants` its bands and its starts between them.  A band
 with eps_m > 0 holds its root within its edges, with z_tilde > 0 and
 z < z0, and the kernel refuses an iterate that a loose root_tol stopped
@@ -76,6 +77,12 @@ class SolveConfig(namedtuple("SolveConfig", "root_tol residual_tol max_newton_it
         return tuple.__new__(cls, (root_tol, residual_tol, max_newton_iters))
 
     _make = classmethod(_validated_make)
+
+
+class Spectrum(namedtuple("Spectrum", "states newton_iters")):
+    """A well's list of BoundState, and a list of the Newton steps each took."""
+
+    __slots__ = ()
 
 
 class NewtonTrace(namedtuple("NewtonTrace", "iterates converged fallback_bisections")):
@@ -134,6 +141,7 @@ def _band_roots(
     config: SolveConfig,
     trail: list[float] | None = None,
     start: float | None = None,
+    iters: list[int] | None = None,
 ) -> Iterator[tuple[int, float, float]]:
     """(m, z, z_tilde) of the root of each band frame (m, e_hi, e_lo, eps).
 
@@ -141,8 +149,9 @@ def _band_roots(
     or 4 ulps of x, then certifies the residual against residual_tol
     (widened for a loose root_tol) plus its rounding floor: |slope| ulp(x),
     and a few ulp(z0) from terms up to z0.  trail, if given, receives the
-    iterates in z.  Given start, Newton runs in delta from there instead,
-    for a crossing between the bands, and z is its last iterate.
+    iterates in z, and iters the number of Newton steps of each band.  Given
+    start, Newton runs in delta from there instead, for a crossing between
+    the bands, and z is its last iterate.
     """
     sin, cos, ulp, pi, inf = math.sin, math.cos, math.ulp, math.pi, math.inf
     root_tol = config.root_tol
@@ -213,6 +222,8 @@ def _band_roots(
             z = math.nextafter(v, 0.0)
         if trail is not None:
             trail[-1] = z
+        if iters is not None:
+            iters.append(i)
         yield m, z, z_tilde
 
 
@@ -236,22 +247,31 @@ def newton_solve(
     return state, NewtonTrace(tuple(zs), converged=True, fallback_bisections=0)
 
 
-def solve_all(
+def solve_spectrum(
     z0: WellStrength | float,
     config: SolveConfig = SolveConfig(),
-) -> list[BoundState]:
-    """All bound states of a well of strength z0, in increasing energy.
+) -> Spectrum:
+    """All bound states of a well of strength z0, with their step counts.
 
     One Newton solve per band; each root lies inside its own band, so the
-    returned roots are strictly increasing.  A well of more than 2^52
-    states (z0 above about 1.4e16) raises DomainError before any solve.
+    returned roots are strictly increasing, each with the steps that
+    :func:`newton_solve` takes for it.  A well of more than 2^52 states
+    (z0 above about 1.4e16) raises DomainError before any solve.
     """
     v = strength_value(z0)
     n = count_bound_states(v)
     if n > 2**52:  # the top band's frame raises its refusal before any solve
         next(_band_frames((n,), v))
-    new = tuple.__new__
-    return [
+    new, iters, frames = tuple.__new__, [], _band_frames(range(1, n + 1), v)
+    states = [
         new(BoundState, (m, z, z_tilde, (z / v) ** 2))
-        for m, z, z_tilde in _band_roots(v, _band_frames(range(1, n + 1), v), config)
+        for m, z, z_tilde in _band_roots(v, frames, config, iters=iters)
     ]
+    return new(Spectrum, (states, iters))
+
+
+def solve_all(
+    z0: WellStrength | float, config: SolveConfig = SolveConfig()
+) -> list[BoundState]:
+    """All bound states of a well of strength z0: :func:`solve_spectrum`'s."""
+    return solve_spectrum(z0, config).states

@@ -63,8 +63,8 @@ _G = {
 def variant_residual(kind: VariantKind, z: float, z0: WellStrength | float) -> float:
     """z - z0 g(z) for the chosen rewriting; zero at an intersection."""
     v = strength_value(z0)
-    if not z > 0.0:
-        raise DomainError(f"z must be positive, got {z!r}")
+    if not (math.isfinite(z) and z > 0.0):
+        raise DomainError(f"z must be finite and positive, got {z!r}")
     return z - v * _G[kind](z)
 
 
@@ -139,6 +139,8 @@ def enumerate_intersections(
     band_keep = (g(1.75 * math.pi) > 0.0, g(0.75 * math.pi) > 0.0)
     cell_keep = (g(1.25 * math.pi) > 0.0, g(0.25 * math.pi) > 0.0)
     bands = itertools.takewhile(lambda m: (m - 1) * math.pi < v, itertools.count(1))
+    # a band that keeps neither itself nor its cell needs no frame
+    bands = (m for m in bands if band_keep[m % 2] or cell_keep[m % 2])
     frames = list(_band_frames(bands, v))
     genuine = [f[3] > 0.0 and band_keep[f[0] % 2] for f in frames]
     roots = _band_roots(v, itertools.compress(frames, genuine), config)

@@ -412,3 +412,44 @@ def test_solve_rows_are_the_library_states_and_steps(capsys, z0):
         assert [row[k] for k in state._fields] == list(state)
         trace = semiwell.newton_solve(state.m, float(z0))[1]
         assert row["newton_iters"] == len(trace.iterates) - 1
+
+
+def test_solve_reads_the_spectrum_not_newton_solve(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("semiwell solve called newton_solve")
+
+    monkeypatch.setattr(semiwell.cli, "newton_solve", refuse)
+    monkeypatch.setattr(semiwell.solver, "newton_solve", refuse)
+    code, out, err = invoke(capsys, "solve", "--z0", "25")
+    assert code == 0 and err == ""
+    spectrum = semiwell.solve_spectrum(25.0)
+    roots = json.loads(out)["results"]["roots"]
+    assert [row["newton_iters"] for row in roots] == spectrum.newton_iters
+
+
+def test_the_enumeration_cap_counts_only_a_well_that_can_pass_it(capsys, monkeypatch):
+    # with a cap of 5, band 6 opens at 11 pi / 2: the float nearest it is a
+    # threshold, holds 5 states and is solved; the float above holds 6 and
+    # is refused
+    monkeypatch.setattr(semiwell.cli, "_MAX_ENUMERATED_STATES", 5)
+    at = 17.278759594743864
+    above = math.nextafter(at, math.inf)
+    assert semiwell.count_bound_states(at) == 5
+    assert semiwell.count_bound_states(above) == 6
+    for command in ("solve", "variants --kind sin"):
+        code, out, _ = invoke(capsys, *command.split(), "--z0", repr(at))
+        assert code == 0 and out
+        code, out, err = invoke(capsys, *command.split(), "--z0", repr(above))
+        assert code == 1 and out == ""
+        assert err == (
+            "error: well holds 6 states, above the enumeration cap (5); "
+            "use the count command\n"
+        )
+    # a well no deeper than cap pi is never counted, since it cannot pass
+    counted = []
+    count = semiwell.cli.count_bound_states
+    monkeypatch.setattr(
+        semiwell.cli, "count_bound_states", lambda z0: counted.append(z0) or count(z0)
+    )
+    assert invoke(capsys, "solve", "--z0", repr(5 * math.pi))[0] == 0
+    assert counted == []

@@ -19,6 +19,7 @@ from semiwell import (
     WellStrength,
     bracket_for,
     cot,
+    count_bound_states,
     energy_ratio,
     interval_index,
     newton_solve,
@@ -52,13 +53,24 @@ class TestWellStrength:
         with pytest.raises(DomainError):
             strength_value(-2.0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "bad", [0.0, -1.0, math.nan, math.inf, -math.inf, 10**400, "abc"]
+    )
     def test_strength_value_rejects_like_the_constructor(self, bad):
         with pytest.raises(DomainError) as from_float:
             strength_value(bad)
         with pytest.raises(DomainError) as from_object:
             WellStrength(bad)
         assert str(from_float.value) == str(from_object.value)
+        with pytest.raises(DomainError):
+            count_bound_states(bad)
+        # the message names the cause; it does not echo 401 digits
+        assert len(str(from_float.value)) < 100
+
+    def test_both_entry_points_convert_to_float(self):
+        assert type(WellStrength(3).z0) is float and WellStrength(3).z0 == 3.0
+        assert WellStrength(3) == WellStrength(3.0)
+        assert strength_value(3) == strength_value(WellStrength(3)) == 3.0
 
 
 class TestBoundState:

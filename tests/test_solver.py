@@ -22,6 +22,7 @@ from semiwell import (
     ConvergenceError,
     DomainError,
     SolveConfig,
+    Spectrum,
     WellStrength,
     bracket_for,
     build_wavefunction,
@@ -32,6 +33,7 @@ from semiwell import (
     residual_exact,
     residual_interval,
     solve_all,
+    solve_spectrum,
 )
 from semiwell.cli import run
 from semiwell.dimensionless import _PI_SPLIT, _band_edges, _band_frames
@@ -527,10 +529,27 @@ def test_newton_converges_on_every_band_without_a_bracket(z0, bands):
 )
 def test_solve_all_is_newton_solve_band_by_band(z0):
     # solve_all builds its states itself, newton_solve through the band
-    # check and the iterate history: the same roots, bit for bit
+    # check and the iterate history: the same roots, bit for bit, and
+    # solve_spectrum counts the same Newton steps without the history
     states = solve_all(z0)
-    singles = [newton_solve(m, z0)[0] for m in range(1, count_bound_states(z0) + 1)]
-    assert repr(states) == repr(singles)
+    solved = [newton_solve(m, z0) for m in range(1, count_bound_states(z0) + 1)]
+    assert repr(states) == repr([state for state, _ in solved])
+    spectrum = solve_spectrum(z0)
+    assert repr(spectrum.states) == repr(states)
+    assert spectrum.newton_iters == [len(trace.iterates) - 1 for _, trace in solved]
+
+
+def test_spectrum_is_a_record_of_the_states_and_their_steps():
+    spectrum = solve_spectrum(WellStrength(15.0), SolveConfig())
+    assert type(spectrum) is Spectrum and spectrum._fields == ("states", "newton_iters")
+    assert len(spectrum.states) == len(spectrum.newton_iters) == 5
+    assert all(type(i) is int and i >= 0 for i in spectrum.newton_iters)
+    with pytest.raises(AttributeError):
+        spectrum.states = []
+    assert solve_spectrum(math.pi / 2) == Spectrum([], [])
+    # the refusal past 2^52 bands comes before any solve, as in solve_all
+    with pytest.raises(DomainError, match="band resolution"):
+        solve_spectrum(1e17)
 
 
 # SHA-256 of every field of solve_all's states, floats as float.hex, one

@@ -59,6 +59,8 @@ def test_variant_residual_rejects_nonpositive_z():
         variant_residual(VariantKind.SIN, 0.0, 15.0)
     with pytest.raises(DomainError):
         variant_residual(VariantKind.CORRECT, -2.0, 15.0)
+    with pytest.raises(DomainError, match="finite"):
+        variant_residual(VariantKind.SIN, math.inf, 15.0)
 
 
 @pytest.mark.parametrize(
