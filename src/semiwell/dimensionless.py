@@ -179,7 +179,16 @@ def residual_exact(z: float, z0: WellStrength | float) -> float:
     v = strength_value(z0)
     if not 0.0 < z < v:
         raise DomainError(f"z must lie in (0, z0): z={z!r}, z0={v!r}")
-    return math.sqrt((v - z) * (v + z)) + z * cot(z)
+    s = _circle_scale(v)
+    u, y = v * s, z * s
+    return math.sqrt((u - y) * (u + y)) / s + z * cot(z)
+
+
+def _circle_scale(v: float) -> float:
+    # a power of two s for sqrt(((v - z) s)((v + z) s)) / s = sqrt(v^2 - z^2),
+    # 0 <= z <= v: 1 unless v^2 or 2 v could overflow, and exact, so the bits
+    # are the unscaled form's wherever that is finite
+    return 2.0**-600 if v > 2.0**500 else 1.0
 
 
 def residual_interval(z: float, m: int, z0: WellStrength | float) -> float:

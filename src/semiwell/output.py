@@ -6,10 +6,9 @@ significant digits so the decimal text round-trips to the same binary
 value, and JSON and CSV renderings of one document agree digit for
 digit.  Serialization is deterministic: same document, same bytes.
 
-The plot-ready curves come from one table, ``_curve``, which gives each
-curve as a function of z for a validated z0; :func:`curve_value` checks its
-inputs and reads one value from it, and :func:`emit_curves` checks z0 once
-and evaluates the one chosen function over the whole grid.
+The plot-ready curves are evaluated a grid at a time, the rewritten
+right-hand sides z0 g(z) from the table of :mod:`semiwell.variants`, so no
+sample costs a Python call; :func:`curve_value` evaluates a grid of one z.
 """
 
 from __future__ import annotations
@@ -17,9 +16,15 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from typing import Any, Callable
+from typing import Any
 
-from .dimensionless import WellStrength, _check_int, cot, strength_value
+from .dimensionless import (
+    _SIN_GUARD,
+    WellStrength,
+    _check_int,
+    _circle_scale,
+    strength_value,
+)
 from .errors import DomainError
 from .variants import _G, VariantKind
 
@@ -185,14 +190,23 @@ class CurveKind(enum.Enum):
 EXACT_CIRCLE = CurveKind.CIRCLE
 
 
-def _curve(kind: CurveKind, v: float) -> Callable[[float], float]:
-    # the named curve as a function of z, for an already validated z0 = v
+def _curve_points(kind: Any, v: float, grid: list[float], band: float) -> list:
+    # (z, height) of the named curve over grid in [0, v], v a validated z0; cot
+    # drops the z with |sin z| < band, and |z cot z| <= z0 / band may overflow
+    if not isinstance(kind, (CurveKind, VariantKind)):
+        raise DomainError(f"kind must be a CurveKind or VariantKind, got {kind!r}")
     if kind is CurveKind.CIRCLE:
-        return lambda z: math.sqrt((v - z) * (v + z))
-    if kind is CurveKind.COT:
-        return lambda z: -z * cot(z)
-    g = _G[VariantKind(kind.value)]
-    return lambda z: v * g(z)
+        s = _circle_scale(v)
+        u = v * s
+        return [(z, math.sqrt((u - z * s) * (u + z * s)) / s) for z in grid]
+    sines = list(map(math.sin, grid))
+    if kind is not CurveKind.COT:
+        return list(zip(grid, _G[VariantKind(kind.value)](v, sines, grid)))
+    cos = math.cos
+    points = [(z, -z * (cos(z) / s)) for z, s in zip(grid, sines) if not abs(s) < band]
+    if math.isinf(v / band) and any(math.isinf(y) for _, y in points):
+        raise DomainError(f"the cot curve -z cot(z) overflows float64 for z0={v!r}")
+    return points
 
 
 def curve_value(kind: CurveKind, z: float, z0: WellStrength | float) -> float:
@@ -200,7 +214,10 @@ def curve_value(kind: CurveKind, z: float, z0: WellStrength | float) -> float:
     v = strength_value(z0)
     if not 0.0 <= z <= v:
         raise DomainError(f"z must lie in [0, z0]: z={z!r}, z0={v!r}")
-    return _curve(kind, v)(z)
+    points = _curve_points(kind, v, [z], _SIN_GUARD)
+    if not points:
+        raise DomainError(f"cot undefined this close to a multiple of pi: z={z!r}")
+    return points[0][1]
 
 
 def emit_curves(
@@ -212,16 +229,14 @@ def emit_curves(
 
     The cot curve has poles at nonzero multiples of pi (and a removable
     0/0 at z = 0); samples with |sin z| < 1e-6 are dropped there, so that
-    curve may return fewer than the requested number of points.  All
-    other kinds are total on [0, z0] and keep the full grid, endpoints
-    included.
+    curve may return fewer than the requested number of points; above
+    z0 of about 1.8e302, where its height can pass float64, an overflow
+    raises DomainError.  All other kinds are total on [0, z0] and keep the
+    full grid, endpoints included.
     """
     v = strength_value(z0)
-    kind = CurveKind(kind.value)
     _check_int("samples", samples, 2)
-    curve = _curve(kind, v)
-    # v * (i / (samples - 1)) never leaves [0, v], so no sample is range-checked
-    grid = [v * (i / (samples - 1)) for i in range(samples)]
-    if kind is CurveKind.COT:
-        grid = [z for z in grid if not abs(math.sin(z)) < _POLE_BAND]
-    return [(z, curve(z)) for z in grid]
+    # v * (i / n) never leaves [0, v], so no sample is range-checked
+    n = samples - 1
+    grid = [v * (i / n) for i in range(samples)]
+    return _curve_points(kind, v, grid, _POLE_BAND)

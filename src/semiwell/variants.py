@@ -27,8 +27,9 @@ z0 - e_m: one root when that is positive, the spectrum's, from the band
 solve.  The even cell k = 2m - 2 lies between the bands (cot(z) > 0):
 h_m rises from -(m - 1) pi to its maximum at delta = -arcsin(1/z0), then
 falls to z0 - e_m, so it has at most one root on either side, found by
-the solver's Newton loop from the cell's ends.  The signs of h_m there
-give the count; the parity of the cell is the ``spurious`` flag.
+the solver's batch kernel from the cells' ends, all left ends in one run
+and all right ends in another.  The signs of h_m there give the count;
+the parity of the cell is the ``spurious`` flag.
 """
 
 from __future__ import annotations
@@ -50,14 +51,24 @@ class VariantKind(enum.Enum):
     CORRECT = "correct"
 
 
-# the right-hand sides g(z) of the rewritings z = z0 g(z); the curves of
-# semiwell.output are drawn from this table too
+# z0 g(z) of each rewriting z = z0 g(z) over a grid, from z0, the sines of
+# the grid and its points; the curves of semiwell.output read it too
 _G = {
-    VariantKind.SIN: math.sin,
-    VariantKind.ABS_SIN: lambda z: abs(math.sin(z)),
-    VariantKind.NEG_SIN: lambda z: -math.sin(z),
-    VariantKind.CORRECT: lambda z: -math.sin(z) * math.copysign(1.0, math.cos(z)),
+    VariantKind.SIN: lambda v, sines, zs: [v * s for s in sines],
+    VariantKind.ABS_SIN: lambda v, sines, zs: [v * abs(s) for s in sines],
+    VariantKind.NEG_SIN: lambda v, sines, zs: [v * -s for s in sines],
+    # -sin(z) cos(z) / |cos(z)|: cos(z) has no float zero
+    VariantKind.CORRECT: lambda v, sines, zs: [
+        v * s if c < 0.0 else v * -s for s, c in zip(sines, map(math.cos, zs))
+    ],
 }
+
+
+def _g(kind: VariantKind, v: float, zs: list[float]) -> list[float]:
+    # z0 g(z) at each z of zs, for a kind checked here
+    if not isinstance(kind, VariantKind):
+        raise DomainError(f"kind must be a VariantKind, got {kind!r}")
+    return _G[kind](v, list(map(math.sin, zs)), zs)
 
 
 def variant_residual(kind: VariantKind, z: float, z0: WellStrength | float) -> float:
@@ -65,7 +76,7 @@ def variant_residual(kind: VariantKind, z: float, z0: WellStrength | float) -> f
     v = strength_value(z0)
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"z must be finite and positive, got {z!r}")
-    return z - v * _G[kind](z)
+    return z - _g(kind, v, [z])[0]
 
 
 class Intersection(namedtuple("Intersection", "z spurious")):
@@ -99,24 +110,6 @@ class VariantReport(namedtuple("VariantReport", "kind intersections")):
         return [i.z for i in self.intersections if not i.spurious]
 
 
-def _gap_crossings(
-    v: float, frame: tuple[int, float, float, float], config: SolveConfig
-) -> list[float]:
-    # roots of z = z0 |sin z| between bands m - 1 and m, delta = z - e_m in
-    # (-pi/2, 0), in increasing z: h rises from -(m - 1) pi to its maximum at
-    # -arcsin(1/z0), then falls to eps; for z0 <= 1 it only falls
-    m, _, _, eps = frame
-    if v <= 1.0:
-        return []
-    d = -math.asin(1.0 / v)
-    if eps - d - 2.0 * v * math.sin(0.5 * d) ** 2 <= 0.0:
-        return []
-    # started from a piece end, where h < 0, Newton on a concave h never
-    # crosses the root
-    starts = ([-_HALF_PI] if m > 1 else []) + ([0.0] if eps < 0.0 else [])
-    return [z for x in starts for _, z, _ in _band_roots(v, (frame,), config, start=x)]
-
-
 def enumerate_intersections(
     kind: VariantKind, z0: WellStrength | float
 ) -> VariantReport:
@@ -131,27 +124,37 @@ def enumerate_intersections(
     crossing between the bands, where cot(z) > 0 and the original equation
     fails, is spurious.
     """
-    v = strength_value(z0)
-    config = SolveConfig()
-    g = _G[kind]
     # g has period 2 pi, so band m and the cell below it keep as band
     # 2 - m % 2 and its cell, tested at their middles; indexed by m % 2
-    band_keep = (g(1.75 * math.pi) > 0.0, g(0.75 * math.pi) > 0.0)
-    cell_keep = (g(1.25 * math.pi) > 0.0, g(0.25 * math.pi) > 0.0)
+    probes = [1.75 * math.pi, 0.75 * math.pi, 1.25 * math.pi, 0.25 * math.pi]
+    keep = [y > 0.0 for y in _g(kind, 1.0, probes)]
+    band_keep, cell_keep = keep[:2], keep[2:]
+    v = strength_value(z0)
     bands = itertools.takewhile(lambda m: (m - 1) * math.pi < v, itertools.count(1))
     # a band that keeps neither itself nor its cell needs no frame
     bands = (m for m in bands if band_keep[m % 2] or cell_keep[m % 2])
     frames = list(_band_frames(bands, v))
-    genuine = [f[3] > 0.0 and band_keep[f[0] % 2] for f in frames]
-    roots = _band_roots(v, itertools.compress(frames, genuine), config)
-    found: list[Intersection] = []
-    for frame, band in zip(frames, genuine):
-        if cell_keep[frame[0] % 2]:
-            for z in _gap_crossings(v, frame, config):
-                found.append(Intersection(z=z, spurious=True))
-        if band:
-            found.append(Intersection(z=next(roots)[1], spurious=False))
-    return VariantReport(kind=kind, intersections=tuple(found))
+    if v > 1.0:  # h peaks at delta = d, where it is eps - d - sag
+        d = -math.asin(1.0 / v)
+        sag = 2.0 * v * math.sin(0.5 * d) ** 2
+        cells = [f for f in frames if cell_keep[f[0] % 2] and f[3] - d - sag > 0.0]
+    else:  # h only falls: no cell holds a crossing
+        cells = []
+    # runs from the cells' left and right ends, where h < 0, so that Newton on
+    # a concave h never crosses a root, and on the bands; each run is in
+    # increasing z and no two runs share a z but two spurious ones of a cell
+    runs = (
+        ([f for f in cells if f[0] > 1], -_HALF_PI),
+        ([f for f in cells if f[3] < 0.0], 0.0),
+        ([f for f in frames if f[3] > 0.0 and band_keep[f[0] % 2]], None),
+    )
+    config = SolveConfig()
+    found = sorted(
+        Intersection(z, x is not None)
+        for run, x in runs
+        for _, z, _ in _band_roots(v, run, config, start=x)
+    )
+    return VariantReport(kind, tuple(found))
 
 
 def filtered_equivalence(kind: VariantKind, z0: WellStrength | float) -> bool:
@@ -164,7 +167,7 @@ def filtered_equivalence(kind: VariantKind, z0: WellStrength | float) -> bool:
     every even one: SIN holds only for N <= 1, NEG_SIN only for N = 0.
     Bands 1 and 2 decide at any depth.
     """
-    g = _G[kind]
     n = count_bound_states(z0)
     # g has period 2 pi, so band m tests as band 2 - m % 2
-    return all(g((m - 0.25) * math.pi) > 0.0 for m in range(1, min(n, 2) + 1))
+    probes = [(m - 0.25) * math.pi for m in range(1, min(n, 2) + 1)]
+    return all(y > 0.0 for y in _g(kind, 1.0, probes))

@@ -221,6 +221,18 @@ def test_curves_cot_drops_pole_points(capsys):
     assert all(abs(math.sin(p["z"])) >= 1e-6 for p in pts)
 
 
+def test_curves_of_the_deepest_wells(capsys):
+    # the circle's (z0 - z)(z0 + z) would overflow to inf, which has no
+    # serialized form; the cot curve's height passes float64 itself
+    code, out, err = invoke(capsys, "curves", "--kind", "circle", "--z0", "1e200", "--samples", "3")
+    assert code == 0 and err == ""
+    pts = json.loads(out)["results"]["points"]
+    assert [p["value"] for p in pts] == [1e200, 8.660254037844386e199, 0.0]
+    code, out, err = invoke(capsys, "curves", "--kind", "cot", "--z0", "1e308")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the cot curve") and "overflows float64" in err
+
+
 def test_physical_units_ev_nm(capsys):
     code, out, _ = invoke(
         capsys, "solve",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -15,10 +16,12 @@ from semiwell import (
     DomainError,
     OutputDocument,
     VariantKind,
+    cot,
     curve_value,
     emit_curves,
     exact_solution,
     format_float,
+    residual_exact,
     serialize,
 )
 from semiwell.cli import _dispatch, build_parser
@@ -180,6 +183,58 @@ def test_string_escaping():
     assert parsed["inputs"]["note"] == 'a "b"\n'
 
 
+# SHA-256 of emit_curves(z0, kind), "z value" a line as float.hex, frozen
+# before the curves were computed a grid at a time
+CURVE_DIGESTS = {
+    150.0: {
+        "CIRCLE": "b31a16e4adaca9f9605a4c1bb7a28bdcc18a88ba08f72e532f2712291ce11d3e",
+        "COT": "2df75ae075e084b8edbf09d8e692a1b55f51ede3de9fb26e912f80769a28eec3",
+        "SIN": "a76aaccee11f1bb43f5a36f2d40ab605f4a21d24e8e2523a73614ccb7e2bce22",
+        "ABS_SIN": "d54642e68abeaf87a831e99dc1b1ffb099906d408dead7fd0d8af4f88f3dd4e1",
+        "NEG_SIN": "ff5f8fb6b9b3ce736f41d334849f8ce6182d8d1bf35c3b6ee1f624a3dda8826b",
+        "CORRECT": "a6f14456577b1557e4f98698281e89f1aebae37a19a3f5d3d910d57386adb9fc",
+    },
+    177.4971: {
+        "CIRCLE": "2e18121716828b678b8eda1a8bd024acf0f32580b4dc48b53e2f2b0b4ad3ba0f",
+        "COT": "307625ebd7859e8bbe186e171cebb01277bde8eb80633442e48dc921abc8f456",
+        "SIN": "177cf65f9e122280af4d7b7f3b13d83e6bed7ac20652cceee919261ea934aae0",
+        "ABS_SIN": "ba9167d1b810d2c9c5e3f4fa06c31854ad3529a06a5e0cd391e5b7e41588057d",
+        "NEG_SIN": "24130f58143762b00f918aa7d7af6f3a1d8eda01ca008bd4ab074e60ee6907f4",
+        "CORRECT": "ae4094f57d2a8be5a1f14cf3ad8a312ff8b92b07ceead2a5ccbce9cee883ceb3",
+    },
+    252.896: {
+        "CIRCLE": "8b4d378f712cf4019caf161b5c1be557a9c4907ee90c7bcf9d0b50cd5604b833",
+        "COT": "3cd777d7c0c5a988b0abc8662664366d1da9346d621670bdea008441102c3692",
+        "SIN": "04699b6d9b82f41818c4ada0a24ec237c3cb0972a054da2b1e234a93f1b9851e",
+        "ABS_SIN": "aa0325e664ef393791df8d7275004b32e0942107f42fefca713608ee94e5ffe8",
+        "NEG_SIN": "748c109f876a62c0e890b2048ebec5c377071b5d6b55ec7734f7027529511496",
+        "CORRECT": "fde6611b4f21baec37e4c29bc1096d7b20428bf5bc4719f6c41e5a0e54cea148",
+    },
+    299.0: {
+        "CIRCLE": "9764e0059aced7ec87e84d223ae9519ca34c9ef3dd3cacd971c8f5f48422daff",
+        "COT": "704b86929e31898d38d3caa1966bc76f098a5e85e9be7bec3fcf672ac95b008a",
+        "SIN": "5e7c34e4b633a9b10e127a2e6983e6ead4b3c6e5c94c2a3e825ad1db7a10a311",
+        "ABS_SIN": "e744c80aeae5af8e105c234bca806e9da9130af749b8671fe40f00daacb52226",
+        "NEG_SIN": "bccd8021d9162dba7682e96fa4f97a0775b95108ceecf8269d49b1da73a8c38d",
+        "CORRECT": "e979c3621ef52403f0b70cbda6265b427dae2d27b3f0eaffbba98150edc06b9f",
+    },
+    3 * math.pi: {
+        "CIRCLE": "16ebd61ac0129b246303d01b3896cda9cbea84e2248375e118c89c10d200727a",
+        "COT": "cce0559214eb009a10021596769b767fefee633361741afd0a139e5f294eaf61",
+        "SIN": "75d7e770bdad3e23173827aaaf21fa51e70ea84ef83ce7b698b4e9d477a333a8",
+        "ABS_SIN": "74ec15a73858f7de03d4c59509428c4cafb301ec3f4d2ec7f7bd224e83b901a0",
+        "NEG_SIN": "a851cfe6ec2c57d6b63572520951415b706377af8426cd014693dab31cd4119f",
+        "CORRECT": "01fca0253fbd4dd82bde50f7420d9508d6fe9340452550d42123df31bd0fa110",
+    },
+}
+
+# sqrt(z0^2 - z^2) at z = z0 i / 4, i = 0..4, from mpmath at 200 bits
+CIRCLE_DEEP = {
+    1e200: [1e200, 9.682458365518542e199, 8.660254037844386e199, 6.614378277661476e199, 0.0],
+    1e308: [1e308, 9.682458365518542e307, 8.660254037844386e307, 6.614378277661477e307, 0.0],
+}
+
+
 class TestCurves:
     def test_circle_endpoints(self):
         pts = emit_curves(15.0, CurveKind.CIRCLE, samples=101)
@@ -242,19 +297,54 @@ class TestCurves:
     @pytest.mark.parametrize("z0", [15.0, 7.7898, 177.4971, 3 * math.pi])
     @pytest.mark.parametrize("kind", list(CurveKind))
     def test_emit_curves_is_curve_value_sample_by_sample(self, kind, z0):
-        # the grid loop of curve_value calls, bit for bit; at z0 = 3 pi the
-        # samples i = 333, 666 and 999 sit on the poles at pi, 2 pi and 3 pi,
-        # so cot drops them and the 0/0 at z = 0
+        # each sample is the curve's textbook expression, bit for bit, and
+        # curve_value's; at z0 = 3 pi the samples i = 333, 666 and 999 sit on
+        # the poles at pi, 2 pi and 3 pi, so cot drops them and the 0/0 at z = 0
+        height = {
+            CurveKind.CIRCLE: lambda z: math.sqrt((z0 - z) * (z0 + z)),
+            CurveKind.COT: lambda z: -z * (math.cos(z) / math.sin(z)),
+            CurveKind.SIN: lambda z: z0 * math.sin(z),
+            CurveKind.ABS_SIN: lambda z: z0 * abs(math.sin(z)),
+            CurveKind.NEG_SIN: lambda z: z0 * -math.sin(z),
+            CurveKind.CORRECT: lambda z: z0 * (-math.sin(z) * math.copysign(1.0, math.cos(z))),
+        }[kind]
         want = []
         for i in range(1000):
             z = z0 * (i / 999)
             if kind is CurveKind.COT and abs(math.sin(z)) < 1e-6:
                 continue
-            want.append((z, curve_value(kind, z, z0)))
+            want.append((z, height(z)))
         got = emit_curves(z0, kind)
         assert repr(got) == repr(want)
+        assert repr([(z, curve_value(kind, z, z0)) for z, _ in got]) == repr(want)
         if kind is CurveKind.COT and z0 == 3 * math.pi:
             assert len(got) == 996
+
+    @pytest.mark.parametrize("z0", list(CURVE_DIGESTS))
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_curve_bits_are_frozen(self, kind, z0):
+        text = "\n".join(f"{z.hex()} {y.hex()}" for z, y in emit_curves(z0, kind))
+        assert hashlib.sha256(text.encode()).hexdigest() == CURVE_DIGESTS[z0][kind.name]
+
+    @pytest.mark.parametrize("z0, heights", CIRCLE_DEEP.items())
+    def test_circle_stays_finite_in_the_deepest_wells(self, z0, heights):
+        # (z0 - z)(z0 + z) overflows above z0 of about 1.34e154, and z0 + z
+        # itself above 9e307
+        got = emit_curves(z0, CurveKind.CIRCLE, samples=5)
+        assert [z for z, _ in got] == [z0 * (i / 4) for i in range(5)]
+        for (_, y), want in zip(got, heights):
+            assert abs(y - want) <= 2.0 * math.ulp(want)
+        z = z0 / 2
+        assert curve_value(CurveKind.CIRCLE, z, z0) == got[2][1]
+        assert residual_exact(z, z0) == got[2][1] + z * cot(z)
+
+    def test_cot_curve_overflow_is_a_domain_error(self):
+        # |z cot z| reaches z0 / 1e-6 on the kept samples, past float64 for
+        # z0 above about 1.8e302
+        with pytest.raises(DomainError, match="overflows float64"):
+            emit_curves(1e308, CurveKind.COT)
+        assert all(math.isfinite(y) for _, y in emit_curves(1.7e302, CurveKind.COT))
+        assert all(math.isfinite(y) for _, y in emit_curves(1e305, CurveKind.COT))
 
     def test_curve_value_domain(self):
         with pytest.raises(DomainError):

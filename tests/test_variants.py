@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semiwell.variants
 from semiwell import (
     DomainError,
     VariantKind,
     cot,
     count_bound_states,
+    curve_value,
+    emit_curves,
     enumerate_intersections,
     filtered_equivalence,
     solve_all,
@@ -229,3 +232,37 @@ def test_crossing_bits_are_frozen(z0):
         for i in enumerate_intersections(kind, z0).intersections
     )
     assert hashlib.sha256(text.encode()).hexdigest() == CROSSING_DIGESTS[z0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kind: emit_curves(15.0, kind),
+        lambda kind: curve_value(kind, 1.0, 15.0),
+        lambda kind: enumerate_intersections(kind, 15.0),
+        lambda kind: filtered_equivalence(kind, 15.0),
+        lambda kind: variant_residual(kind, 1.0, 15.0),
+    ],
+    ids=["emit_curves", "curve_value", "enumerate_intersections", "filtered_equivalence", "variant_residual"],
+)
+@pytest.mark.parametrize("kind", ["sin", None, 3])
+def test_a_kind_that_is_no_member_is_a_domain_error(call, kind):
+    # a string raised AttributeError from the curves and KeyError from the scan
+    with pytest.raises(DomainError, match="kind must be a"):
+        call(kind)
+
+
+def test_the_scan_solves_in_three_kernel_runs(monkeypatch):
+    # the band roots, the crossings from the cells' left ends and those from
+    # their right ends: three runs, not one per crossing
+    calls = []
+    band_roots = semiwell.variants._band_roots
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("start"))
+        return band_roots(*args, **kwargs)
+
+    monkeypatch.setattr(semiwell.variants, "_band_roots", counted)
+    report = enumerate_intersections(VariantKind.ABS_SIN, 220.0)
+    assert report.n_spurious > 60 and report.n_total - report.n_spurious == count_bound_states(220.0)
+    assert len(calls) <= 3
