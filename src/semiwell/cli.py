@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Any, Sequence
 
 from .dimensionless import WellStrength, residual_exact
 from .errors import ConvergenceError, DomainError
@@ -127,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_well(
     parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> tuple[WellStrength, float, dict[str, Any]]:
+) -> tuple[WellStrength, float, dict[str, object]]:
     """Well strength, well width, and the echoed inputs for the document."""
     physical = [args.mass, args.width, args.depth]
     has_physical = any(p is not None for p in physical)
@@ -149,7 +148,7 @@ def _resolve_well(
     else:
         well = PhysicalWell(mass=args.mass, width_a=args.width, depth_v0=args.depth)
     strength = strength_from_physical(well)
-    inputs: dict[str, Any] = {
+    inputs: dict[str, object] = {
         "mass": args.mass,
         "width": args.width,
         "depth": args.depth,
@@ -277,7 +276,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
     raise ValueError(f"unknown command {args.cmd!r}")  # unreachable
 
 
-def run(argv: Sequence[str] | None = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute, write the document; returns the exit status."""
     parser = build_parser()
     try:

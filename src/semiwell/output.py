@@ -3,8 +3,10 @@
 JSON is emitted by a small writer of our own because the stdlib encoder
 offers no control over float formatting; every float is written with 17
 significant digits so the decimal text round-trips to the same binary
-value, and JSON and CSV renderings of one document agree digit for
-digit.  Serialization is deterministic: same document, same bytes.
+value.  One function writes a document value as JSON text, and its
+scalar cases (null, booleans, ints and floats) are also the CSV cells, so
+JSON and CSV renderings of one document agree digit for digit by
+construction.  Serialization is deterministic: same document, same bytes.
 
 The plot-ready curves are evaluated a grid at a time, the rewritten
 right-hand sides z0 g(z) from the table of :mod:`semiwell.variants`, so no
@@ -16,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from typing import Any
 
 from .dimensionless import (
     _SIN_GUARD,
@@ -48,9 +49,9 @@ class OutputDocument(namedtuple("OutputDocument", _DOCUMENT_FIELDS)):
     def __new__(
         cls,
         command: str,
-        inputs: dict[str, Any],
-        results: dict[str, Any],
-        diagnostics: dict[str, Any] | None = None,
+        inputs: dict[str, object],
+        results: dict[str, object],
+        diagnostics: dict[str, object] | None = None,
         schema_version: str = SCHEMA_VERSION,
     ) -> OutputDocument:
         if diagnostics is None:
@@ -59,7 +60,7 @@ class OutputDocument(namedtuple("OutputDocument", _DOCUMENT_FIELDS)):
             cls, (command, inputs, results, diagnostics, schema_version)
         )
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, object]:
         return {
             "schema_version": self.schema_version,
             "command": self.command,
@@ -83,57 +84,32 @@ def format_float(x: float) -> str:
     return text + ".0"
 
 
-def _write_json(value: Any, out: list[str]) -> None:
+def _json_text(value: object) -> str:
+    # JSON text of a document value; a scalar's text is also its CSV cell
     if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(format_float(value))
-    elif isinstance(value, str):
-        out.append(_escape_json_string(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(_escape_json_string(str(key)))
-            out.append(": ")
-            _write_json(item, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(", ")
-            _write_json(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _escape_json_string(s: str) -> str:
-    safe = s.replace("\\", "\\\\").replace('"', '\\"')
-    chunks = []
-    for ch in safe:
-        code = ord(ch)
-        chunks.append(f"\\u{code:04x}" if code < 0x20 else ch)
-    return '"' + "".join(chunks) + '"'
-
-
-def _cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, float):
         return format_float(value)
-    return str(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        if value.isprintable() and '"' not in value and "\\" not in value:
+            return '"' + value + '"'
+        value = value.replace("\\", "\\\\").replace('"', '\\"')
+        return '"' + "".join([f"\\u{ord(c):04x}" if c < " " else c for c in value]) + '"'
+    if isinstance(value, dict):
+        items = [f"{_json_text(str(k))}: {_json_text(v)}" for k, v in value.items()]
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join([_json_text(v) for v in value]) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _csv_table(doc: OutputDocument) -> tuple[list[str], list[list[Any]]]:
+def _csv_table(doc: OutputDocument) -> tuple[list[str], list[list[object]]]:
     r = doc.results
     if doc.command == "count":
         return ["count"], [[r["count"]]]
@@ -156,16 +132,13 @@ def _csv_table(doc: OutputDocument) -> tuple[list[str], list[list[Any]]]:
 def serialize(doc: OutputDocument, fmt: str) -> bytes:
     """Render a document as UTF-8 bytes in the named format (json or csv)."""
     if fmt == "json":
-        out: list[str] = []
-        _write_json(doc.to_dict(), out)
-        out.append("\n")
-        return "".join(out).encode("utf-8")
+        return (_json_text(doc.to_dict()) + "\n").encode("utf-8")
     if fmt == "csv":
         # every cell is a fixed header name, an int, a float or a bool, so
         # none needs quoting
         header, rows = _csv_table(doc)
         lines = [",".join(header)]
-        lines += [",".join([_cell(v) for v in row]) for row in rows]
+        lines += [",".join([_json_text(v) for v in row]) for row in rows]
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unsupported output format {fmt!r}")
 
@@ -190,7 +163,7 @@ class CurveKind(enum.Enum):
 EXACT_CIRCLE = CurveKind.CIRCLE
 
 
-def _curve_points(kind: Any, v: float, grid: list[float], band: float) -> list:
+def _curve_points(kind: object, v: float, grid: list[float], band: float) -> list:
     # (z, height) of the named curve over grid in [0, v], v a validated z0; cot
     # drops the z with |sin z| < band, and |z cot z| <= z0 / band may overflow
     if not isinstance(kind, (CurveKind, VariantKind)):

@@ -38,11 +38,9 @@ class PhysicalWell(namedtuple("PhysicalWell", "mass width_a depth_v0 hbar")):
 def strength_from_physical(well: PhysicalWell) -> WellStrength:
     """z0 = sqrt(2 m V0) a / hbar for a physical well."""
     z0 = math.sqrt(2.0 * well.mass * well.depth_v0) * well.width_a / well.hbar
-    if not math.isfinite(z0) or z0 > 1e300:
-        raise DomainError(
-            "well parameters overflow the dimensionless strength; "
-            "check units for consistency"
-        )
+    if not 0.0 < z0 <= 1e300:
+        flow = "underflow" if z0 == 0.0 else "overflow"
+        raise DomainError(f"well parameters {flow} the strength z0; check units")
     return WellStrength(z0)
 
 
@@ -51,7 +49,8 @@ def energy_from_z(z: float, well: PhysicalWell) -> float:
     z0 = strength_from_physical(well).z0
     if not 0.0 < z < z0:
         raise DomainError(f"z must lie in (0, z0): z={z!r}, z0={z0!r}")
-    return (well.hbar * z) ** 2 / (2.0 * well.mass * well.width_a**2)
+    # V0 (z / z0)^2 cannot overflow, and V0 z / z0, taken first, is not below E
+    return well.depth_v0 * (z / z0) * (z / z0)
 
 
 def critical_depth(mass: float, width_a: float, hbar: float = HBAR_SI) -> float:
@@ -60,7 +59,14 @@ def critical_depth(mass: float, width_a: float, hbar: float = HBAR_SI) -> float:
     At exactly this depth z0 = pi/2 and the would-be state merges with the
     continuum, so the count is still zero.
     """
-    for label, value in (("mass", mass), ("width_a", width_a), ("hbar", hbar)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"{label} must be finite and positive, got {value!r}")
-    return math.pi**2 * hbar**2 / (8.0 * mass * width_a**2)
+    PhysicalWell(mass, width_a, 1.0, hbar)  # checks each is finite and positive
+    # on the mantissas, in [0.5, 1), it rounds as unscaled but stays in range
+    (m, i), (a, j), (h, k) = map(math.frexp, (mass, width_a, hbar))
+    try:
+        depth = math.ldexp(math.pi**2 * (h * h) / (8.0 * m * (a * a)), 2 * (k - j) - i)
+    except OverflowError:
+        depth = math.inf
+    if depth == 0.0 or depth == math.inf:
+        flow = "underflows" if depth == 0.0 else "overflows"
+        raise DomainError(f"critical depth {flow} float64 at m={mass!r}, a={width_a!r}")
+    return depth

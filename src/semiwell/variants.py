@@ -64,11 +64,18 @@ _G = {
 }
 
 
-def _g(kind: VariantKind, v: float, zs: list[float]) -> list[float]:
-    # z0 g(z) at each z of zs, for a kind checked here
+# whether g = +|sin z| on band m and on the half-pi cell below it, by m % 2:
+# g has period 2 pi, so they test as band 2 - m % 2 and its cell, at their middles
+_PROBES = [1.75 * math.pi, 0.75 * math.pi, 1.25 * math.pi, 0.25 * math.pi]
+_SINES = list(map(math.sin, _PROBES))
+_KEEP = {kind: [y > 0.0 for y in g(1.0, _SINES, _PROBES)] for kind, g in _G.items()}
+
+
+def _rewriting(kind: VariantKind) -> tuple:
+    # the z0 g(z) of _G, the band flags and the cell flags of a kind checked here
     if not isinstance(kind, VariantKind):
         raise DomainError(f"kind must be a VariantKind, got {kind!r}")
-    return _G[kind](v, list(map(math.sin, zs)), zs)
+    return _G[kind], _KEEP[kind][:2], _KEEP[kind][2:]
 
 
 def variant_residual(kind: VariantKind, z: float, z0: WellStrength | float) -> float:
@@ -76,7 +83,8 @@ def variant_residual(kind: VariantKind, z: float, z0: WellStrength | float) -> f
     v = strength_value(z0)
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"z must be finite and positive, got {z!r}")
-    return z - _g(kind, v, [z])[0]
+    g, _, _ = _rewriting(kind)
+    return z - g(v, [math.sin(z)], [z])[0]
 
 
 class Intersection(namedtuple("Intersection", "z spurious")):
@@ -124,11 +132,7 @@ def enumerate_intersections(
     crossing between the bands, where cot(z) > 0 and the original equation
     fails, is spurious.
     """
-    # g has period 2 pi, so band m and the cell below it keep as band
-    # 2 - m % 2 and its cell, tested at their middles; indexed by m % 2
-    probes = [1.75 * math.pi, 0.75 * math.pi, 1.25 * math.pi, 0.25 * math.pi]
-    keep = [y > 0.0 for y in _g(kind, 1.0, probes)]
-    band_keep, cell_keep = keep[:2], keep[2:]
+    _, band_keep, cell_keep = _rewriting(kind)
     v = strength_value(z0)
     bands = itertools.takewhile(lambda m: (m - 1) * math.pi < v, itertools.count(1))
     # a band that keeps neither itself nor its cell needs no frame
@@ -168,6 +172,5 @@ def filtered_equivalence(kind: VariantKind, z0: WellStrength | float) -> bool:
     Bands 1 and 2 decide at any depth.
     """
     n = count_bound_states(z0)
-    # g has period 2 pi, so band m tests as band 2 - m % 2
-    probes = [(m - 0.25) * math.pi for m in range(1, min(n, 2) + 1)]
-    return all(y > 0.0 for y in _g(kind, 1.0, probes))
+    _, band_keep, _ = _rewriting(kind)
+    return all(band_keep[m % 2] for m in range(1, min(n, 2) + 1))

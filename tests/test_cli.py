@@ -290,8 +290,20 @@ def test_deep_enumeration_is_refused_before_it_starts(capsys, argv):
     assert "above the enumeration cap (100000)" in err
 
 
+def test_underflowing_physical_well_exits_1(capsys):
+    # the strength's 2 m V0 underflows: the error names that, not a z0 of 0.0
+    argv = "solve --mass 1 --width 1 --depth 1e-300 --units ev-nm".split()
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: well parameters underflow the strength z0; check units\n"
+
+
 def modules_loaded_by_import() -> list[str]:
-    """Modules that `import semiwell` adds to sys.modules in a fresh process."""
+    """Modules that `import semiwell` adds to sys.modules in a fresh process.
+
+    The probe runs under -S, so that no module imported by site (or by a .pth
+    file it runs) is already loaded and hidden from the difference.
+    """
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -300,7 +312,11 @@ def modules_loaded_by_import() -> list[str]:
     )
     env = dict(os.environ, PYTHONPATH=str(Path(semiwell.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     ).stdout.split()
 
 
@@ -310,10 +326,11 @@ def test_import_loads_only_the_standard_library():
 
 
 def test_import_loads_no_dataclasses_inspect_or_csv():
-    # each would cost milliseconds on every cold call
+    # each would cost milliseconds on every cold call; typing (which brings re)
+    # is needed by no annotation, as none is evaluated
     loaded = modules_loaded_by_import()
     assert "semiwell" in loaded
-    assert {"dataclasses", "inspect", "csv"}.isdisjoint(loaded)
+    assert {"dataclasses", "inspect", "csv", "typing", "re"}.isdisjoint(loaded)
 
 
 def test_output_goes_to_file(tmp_path, capsys):

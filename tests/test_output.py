@@ -25,7 +25,7 @@ from semiwell import (
     serialize,
 )
 from semiwell.cli import _dispatch, build_parser
-from semiwell.output import _cell, _csv_table
+from semiwell.output import _csv_table, _json_text
 
 
 def sample_doc() -> OutputDocument:
@@ -111,7 +111,7 @@ def csv_writer_bytes(doc: OutputDocument) -> bytes:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_cell(v) for v in row])
+        writer.writerow([_json_text(v) for v in row])
     return buf.getvalue().encode("utf-8")
 
 
@@ -152,7 +152,7 @@ def test_exact_csv_columns_are_the_record_fields():
         "amplitude_sq_times_a",
         "p_inside",
     ]
-    assert rows[1] == [_cell(v) for v in exact_solution(3)]
+    assert rows[1] == [_json_text(v) for v in exact_solution(3)]
 
 
 def test_variant_doc_booleans():
@@ -181,6 +181,87 @@ def test_string_escaping():
     doc = OutputDocument(command="count", inputs={"note": 'a "b"\n'}, results={"count": 0})
     parsed = json.loads(serialize(doc, "json").decode())
     assert parsed["inputs"]["note"] == 'a "b"\n'
+
+
+def edge_doc() -> OutputDocument:
+    # every value kind the writer knows, and the strings and floats at its edges
+    return OutputDocument(
+        command="edge",
+        inputs={
+            "quote": 'a "b"',
+            "backslash": "c:\\d",
+            "newline": "e\nf",
+            "control": "\x00\x01\x1f",
+            "del": "g\x7fh",
+            "non_ascii": "z\u2080 \u00e9 \u00a0 \u2028 \U0001d70b",
+            "empty": "",
+            'k"e\\y\n': "key escapes",
+            7: "int key",
+        },
+        results={
+            "flags": [True, False, None],
+            "ints": [0, -1, 2**53 + 1, 10**30, -(10**30)],
+            "floats": [
+                -0.0, 5e-324, 0.1, 1e16, 1e17, 2.0, 0.0, -2.5e-308, 1.7976931348623157e308
+            ],
+            "nested": {
+                "tuple": (1, (2.0, [3, {"x": ()}]), {}),
+                "list": [[], [[]], {"y": {"z": None}}],
+            },
+        },
+        diagnostics={
+            "empty": {},
+            "row": {"m": 1, "z": 2.9440408044848854, "spurious": False},
+        },
+    )
+
+
+def test_edge_document_bytes_are_frozen():
+    # SHA-256 frozen from the writer before JSON and CSV shared one scalar rule
+    payload = serialize(edge_doc(), "json")
+    assert hashlib.sha256(payload).hexdigest() == (
+        "147e89023b7409c8e41ebd4e043d62600b2b71c6c4e0af1d31b27c1953fcccc6"
+    )
+    # the standard library reads back what it would write, 7 as the key "7"
+    assert json.loads(payload) == json.loads(json.dumps(edge_doc().to_dict()))
+
+
+# SHA-256 of the CSV of each command's table, empty ones included, frozen
+# before JSON and CSV shared one scalar rule
+CSV_DIGESTS = {
+    "count --z0 15": "f8771c1196055b84f66d28565fcc3327d10c59ebe4203ad9cdbec47b0d81ddf1",
+    "solve --z0 25": "f63f9db52d6318679d146951914edb7f735cd3701f071abe3cc45b83be8e67a0",
+    "solve --z0 1.0": "10cf7ba5c9f2a46b25cf7c61cc0c60865a1583750ef5b83d42b3e56688398a6e",
+    "exact --n 3": "e4ad7c0e1dd057e700fb66676ea9e65e300da83183762965fdec32f579ee322d",
+    "wavefn --z0 15 --state 2 --samples 50": (
+        "6ad8ca9cdc96a94f0d11bf2009c23f4eed4a5c8221d72f79c862dac0fd494633"
+    ),
+    "variants --kind sin --z0 25": (
+        "d6226068438f56abfdd29645f72b522e59c983002fac6208d3f121c7c30d208e"
+    ),
+    "variants --kind neg-sin --z0 1.0": (
+        "9a80c3cabefee1ae9cbb0cb89cb55605233b055b4c37c533d1ebfd40688e8089"
+    ),
+    "curves --kind cot --z0 15 --samples 64": (
+        "9885574f6dcf97d7cfff82db96146d3bc46cffb3e8deeb7e5bee26e9fc414ace"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(CSV_DIGESTS))
+def test_csv_bytes_are_frozen(argv):
+    parser = build_parser()
+    doc = _dispatch(parser, parser.parse_args(argv.split()))
+    assert hashlib.sha256(serialize(doc, "csv")).hexdigest() == CSV_DIGESTS[argv]
+
+
+def test_a_scalar_cell_is_its_json_text():
+    # one rule writes a scalar in both formats, so the two agree by construction
+    for value in [None, True, False, 0, -(10**30), -0.0, 5e-324, 0.1, 1e17, 2.0]:
+        doc = OutputDocument(command="count", inputs={}, results={"count": value})
+        cell = serialize(doc, "csv").decode().splitlines()[1]
+        assert cell == _json_text(value)
+        assert json.loads(serialize(doc, "json"))["results"]["count"] == json.loads(cell)
 
 
 # SHA-256 of emit_curves(z0, kind), "z value" a line as float.hex, frozen

@@ -142,3 +142,45 @@ def test_energy_ratio_roundtrip_through_units(frac):
     assert energy_from_z(z, well) / well.depth_v0 == pytest.approx(
         frac**2, rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "mass, width_a, flow",
+    [(1e-300, 1e-300, "overflows"), (1.0, 1e200, "underflows")],
+)
+def test_critical_depth_past_float64_is_a_domain_error(mass, width_a, flow):
+    # 8 m a^2 underflowed to 0 (ZeroDivisionError) and a^2 overflowed
+    # (OverflowError); the depths themselves are about 1e613 and 1e-468
+    with pytest.raises(DomainError, match=f"critical depth {flow} float64"):
+        critical_depth(mass, width_a)
+
+
+def test_critical_depth_in_range_despite_an_underflowing_width_squared():
+    # a^2 = 1e-340 underflowed to 0 and raised ZeroDivisionError, while the
+    # depth is finite: 1.3720251743411995578e+303 by mpmath at 50 digits
+    assert critical_depth(1e-31, 1e-170) == pytest.approx(
+        1.3720251743411995578e303, rel=1e-15
+    )
+
+
+@pytest.mark.parametrize(
+    "mass, width_a, depth, energy",
+    [
+        # (hbar z)^2 / (2 m a^2) overflowed in a^2 = 1e400 (OverflowError)
+        (1e-31, 1e200, 1e-200, 2.4999999999999999279e-201),
+        # and underflowed in 2 m a^2 (ZeroDivisionError)
+        (1e-300, 1e-160, 1e100, 2.4999999999999996725e99),
+    ],
+)
+def test_energy_from_z_stays_finite_for_valid_wells(mass, width_a, depth, energy):
+    # z = z0 / 2; the energies are hbar^2 z^2 / (2 m a^2) by mpmath at 50 digits
+    well = PhysicalWell(mass=mass, width_a=width_a, depth_v0=depth)
+    z0 = strength_from_physical(well).z0
+    assert energy_from_z(z0 / 2, well) == pytest.approx(energy, rel=1e-15)
+
+
+def test_strength_underflow_is_named():
+    # 2 m V0 = 3e-349 underflows to 0, which used to read as a z0 of 0.0
+    well = PhysicalWell(mass=ELECTRON_MASS_SI, width_a=1e-9, depth_v0=1e-300 * EV_SI)
+    with pytest.raises(DomainError, match="well parameters underflow the strength z0"):
+        strength_from_physical(well)
