@@ -213,14 +213,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
         config = _solver_config(args)
         if args.samples < 2:
             raise DomainError(f"need at least 2 samples, got {args.samples}")
-        inputs.update(
-            {
-                "state": args.state,
-                "samples": args.samples,
-                "tol": config.root_tol,
-                "max_iter": config.max_newton_iters,
-            }
-        )
+        inputs.update({"state": args.state, "samples": args.samples})
+        inputs.update({"tol": config.root_tol, "max_iter": config.max_newton_iters})
         state, _ = newton_solve(args.state, strength, config)
         spec = build_wavefunction(state, strength, a=width)
         x_max = spec.a + 8.0 / spec.k_tilde

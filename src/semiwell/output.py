@@ -11,11 +11,13 @@ construction.  Serialization is deterministic: same document, same bytes.
 The plot-ready curves are evaluated a grid at a time, the rewritten
 right-hand sides z0 g(z) from the table of :mod:`semiwell.variants`, so no
 sample costs a Python call; :func:`curve_value` evaluates a grid of one z.
+The curves of one well share one grid and its sines: the last grid is kept.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections import namedtuple
 
@@ -163,16 +165,15 @@ class CurveKind(enum.Enum):
 EXACT_CIRCLE = CurveKind.CIRCLE
 
 
-def _curve_points(kind: object, v: float, grid: list[float], band: float) -> list:
-    # (z, height) of the named curve over grid in [0, v], v a validated z0; cot
-    # drops the z with |sin z| < band, and |z cot z| <= z0 / band may overflow
+def _curve_points(kind: object, v: float, grid: tuple, sines: tuple, band: float) -> list:
+    # (z, height) of the named curve over grid in [0, v] and its sines, v a
+    # validated z0; cot drops |sin z| < band, and |z cot z| <= z0 / band may overflow
     if not isinstance(kind, (CurveKind, VariantKind)):
         raise DomainError(f"kind must be a CurveKind or VariantKind, got {kind!r}")
     if kind is CurveKind.CIRCLE:
         s = _circle_scale(v)
         u = v * s
         return [(z, math.sqrt((u - z * s) * (u + z * s)) / s) for z in grid]
-    sines = list(map(math.sin, grid))
     if kind is not CurveKind.COT:
         return list(zip(grid, _G[VariantKind(kind.value)](v, sines, grid)))
     cos = math.cos
@@ -187,7 +188,7 @@ def curve_value(kind: CurveKind, z: float, z0: WellStrength | float) -> float:
     v = strength_value(z0)
     if not 0.0 <= z <= v:
         raise DomainError(f"z must lie in [0, z0]: z={z!r}, z0={v!r}")
-    points = _curve_points(kind, v, [z], _SIN_GUARD)
+    points = _curve_points(kind, v, (z,), (math.sin(z),), _SIN_GUARD)
     if not points:
         raise DomainError(f"cot undefined this close to a multiple of pi: z={z!r}")
     return points[0][1]
@@ -209,7 +210,12 @@ def emit_curves(
     """
     v = strength_value(z0)
     _check_int("samples", samples, 2)
-    # v * (i / n) never leaves [0, v], so no sample is range-checked
-    n = samples - 1
-    grid = [v * (i / n) for i in range(samples)]
-    return _curve_points(kind, v, grid, _POLE_BAND)
+    return _curve_points(kind, v, *_grid(v, samples), _POLE_BAND)
+
+
+@functools.lru_cache(maxsize=1)
+def _grid(v: float, samples: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # the grid over [0, v] and its sines; v * (i / n) never leaves [0, v], so
+    # no sample is range-checked
+    grid = tuple([v * (i / (samples - 1)) for i in range(samples)])
+    return grid, tuple(map(math.sin, grid))

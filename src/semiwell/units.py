@@ -37,7 +37,11 @@ class PhysicalWell(namedtuple("PhysicalWell", "mass width_a depth_v0 hbar")):
 
 def strength_from_physical(well: PhysicalWell) -> WellStrength:
     """z0 = sqrt(2 m V0) a / hbar for a physical well."""
-    z0 = math.sqrt(2.0 * well.mass * well.depth_v0) * well.width_a / well.hbar
+    # on the mantissas, as in critical_depth, with 2 m V0 = m v 2^(2e + odd);
+    # a z0 past 2^1000 is past 1e300, so the capped power keeps it finite
+    (m, i), (a, k), (v, j), (h, l) = map(math.frexp, well)
+    e, odd = divmod(i + j + 1, 2)
+    z0 = math.ldexp(math.sqrt(math.ldexp(m * v, odd)) * a / h, min(e + k - l, 1001))
     if not 0.0 < z0 <= 1e300:
         flow = "underflow" if z0 == 0.0 else "overflow"
         raise DomainError(f"well parameters {flow} the strength z0; check units")

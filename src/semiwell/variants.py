@@ -17,24 +17,26 @@ crossings solve the rewritten equation but not the original one, and
 SIN-type errors only when no genuine root is also lost, which is what
 :func:`filtered_equivalence` checks.
 
-The crossings are counted exactly, cell by cell.  On each half-pi cell
-[k pi/2, (k + 1) pi/2] every g above is either +|sin z| or -|sin z|.
-Where it is -|sin z| the line cannot meet the curve.  Where it is
-+|sin z| the crossings are roots of the solver's concave band residual
-h_m(delta) = -(z - z0 |sin z|), delta = z - e_m, with m = k // 2 + 1.
-The odd cell k = 2m - 1 is band m (delta > 0), where h_m falls from
-z0 - e_m: one root when that is positive, the spectrum's, from the band
-solve.  The even cell k = 2m - 2 lies between the bands (cot(z) > 0):
-h_m rises from -(m - 1) pi to its maximum at delta = -arcsin(1/z0), then
-falls to z0 - e_m, so it has at most one root on either side, found by
-the solver's batch kernel from the cells' ends, all left ends in one run
-and all right ends in another.  The signs of h_m there give the count;
-the parity of the cell is the ``spurious`` flag.
+The crossings are counted exactly, in one scan per well that every kind
+reads.  On each half-pi cell [k pi/2, (k + 1) pi/2] every g above is
+either +|sin z| or -|sin z|, so a kind keeps the crossings of y = z0 |sin z|
+on the cells where its g is +|sin z|, by the parity of the cell or band.
+They are roots of the solver's concave band residual h_m(delta) =
+-(z - z0 |sin z|), delta = z - e_m, with m = k // 2 + 1.  The odd cell
+k = 2m - 1 is band m (delta > 0), where h_m falls from z0 - e_m: one root
+when that is positive, the spectrum's, from the band solve.  The even cell
+k = 2m - 2 lies between the bands (cot(z) > 0): h_m rises from -(m - 1) pi
+to its maximum at delta = -arcsin(1/z0), then falls to z0 - e_m, so it has
+at most one root on either side, found by the solver's batch kernel from
+the cells' ends, all left ends in one run and all right ends in another.
+The signs of h_m there give the count; the parity of the cell is the
+``spurious`` flag.  The scan of the last well asked about is kept.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -64,7 +66,7 @@ _G = {
 }
 
 
-# whether g = +|sin z| on band m and on the half-pi cell below it, by m % 2:
+# whether g = +|sin z| on band m, at m % 2, and on the cell below it, at 2 + m % 2:
 # g has period 2 pi, so they test as band 2 - m % 2 and its cell, at their middles
 _PROBES = [1.75 * math.pi, 0.75 * math.pi, 1.25 * math.pi, 0.25 * math.pi]
 _SINES = list(map(math.sin, _PROBES))
@@ -72,10 +74,10 @@ _KEEP = {kind: [y > 0.0 for y in g(1.0, _SINES, _PROBES)] for kind, g in _G.item
 
 
 def _rewriting(kind: VariantKind) -> tuple:
-    # the z0 g(z) of _G, the band flags and the cell flags of a kind checked here
+    # the z0 g(z) of _G and the _KEEP flags of a kind checked here
     if not isinstance(kind, VariantKind):
         raise DomainError(f"kind must be a VariantKind, got {kind!r}")
-    return _G[kind], _KEEP[kind][:2], _KEEP[kind][2:]
+    return _G[kind], _KEEP[kind]
 
 
 def variant_residual(kind: VariantKind, z: float, z0: WellStrength | float) -> float:
@@ -83,7 +85,7 @@ def variant_residual(kind: VariantKind, z: float, z0: WellStrength | float) -> f
     v = strength_value(z0)
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"z must be finite and positive, got {z!r}")
-    g, _, _ = _rewriting(kind)
+    g, _ = _rewriting(kind)
     return z - g(v, [math.sin(z)], [z])[0]
 
 
@@ -132,16 +134,20 @@ def enumerate_intersections(
     crossing between the bands, where cot(z) > 0 and the original equation
     fails, is spurious.
     """
-    _, band_keep, cell_keep = _rewriting(kind)
-    v = strength_value(z0)
+    _, keep = _rewriting(kind)
+    found = _crossings(strength_value(z0))
+    return VariantReport(kind, tuple([i for i, k in found if keep[k]]))
+
+
+@functools.lru_cache(maxsize=1)
+def _crossings(v: float) -> tuple[tuple[Intersection, int], ...]:
+    # each crossing of y = z0 |sin z| for a validated z0 v, sorted, with its _KEEP index
     bands = itertools.takewhile(lambda m: (m - 1) * math.pi < v, itertools.count(1))
-    # a band that keeps neither itself nor its cell needs no frame
-    bands = (m for m in bands if band_keep[m % 2] or cell_keep[m % 2])
     frames = list(_band_frames(bands, v))
     if v > 1.0:  # h peaks at delta = d, where it is eps - d - sag
         d = -math.asin(1.0 / v)
         sag = 2.0 * v * math.sin(0.5 * d) ** 2
-        cells = [f for f in frames if cell_keep[f[0] % 2] and f[3] - d - sag > 0.0]
+        cells = [f for f in frames if f[3] - d - sag > 0.0]
     else:  # h only falls: no cell holds a crossing
         cells = []
     # runs from the cells' left and right ends, where h < 0, so that Newton on
@@ -150,15 +156,15 @@ def enumerate_intersections(
     runs = (
         ([f for f in cells if f[0] > 1], -_HALF_PI),
         ([f for f in cells if f[3] < 0.0], 0.0),
-        ([f for f in frames if f[3] > 0.0 and band_keep[f[0] % 2]], None),
+        ([f for f in frames if f[3] > 0.0], None),
     )
     config = SolveConfig()
     found = sorted(
-        Intersection(z, x is not None)
+        (Intersection(z, x is not None), 2 * (x is not None) + m % 2)
         for run, x in runs
-        for _, z, _ in _band_roots(v, run, config, start=x)
+        for m, z, _ in _band_roots(v, run, config, start=x)
     )
-    return VariantReport(kind, tuple(found))
+    return tuple(found)
 
 
 def filtered_equivalence(kind: VariantKind, z0: WellStrength | float) -> bool:
@@ -172,5 +178,5 @@ def filtered_equivalence(kind: VariantKind, z0: WellStrength | float) -> bool:
     Bands 1 and 2 decide at any depth.
     """
     n = count_bound_states(z0)
-    _, band_keep, _ = _rewriting(kind)
-    return all(band_keep[m % 2] for m in range(1, min(n, 2) + 1))
+    _, keep = _rewriting(kind)
+    return all(keep[m % 2] for m in range(1, min(n, 2) + 1))

@@ -291,11 +291,22 @@ def test_deep_enumeration_is_refused_before_it_starts(capsys, argv):
 
 
 def test_underflowing_physical_well_exits_1(capsys):
-    # the strength's 2 m V0 underflows: the error names that, not a z0 of 0.0
-    argv = "solve --mass 1 --width 1 --depth 1e-300 --units ev-nm".split()
+    # z0 is about 5e-580, below float64's least subnormal: the error names
+    # that, not a z0 of 0.0
+    argv = "solve --mass 1e-290 --width 1e-290 --depth 1e-290 --units ev-nm".split()
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: well parameters underflow the strength z0; check units\n"
+
+
+def test_a_well_whose_2_m_v0_underflows_holds_no_state(capsys):
+    # 2 m V0 = 3e-349 is below float64's range, but z0 = 5.1e-150 is not
+    argv = "solve --mass 1 --width 1 --depth 1e-300 --units ev-nm".split()
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["inputs"]["z0"] == 5.123134354809222e-150
+    assert doc["results"] == {"count": 0, "roots": []}
 
 
 def modules_loaded_by_import() -> list[str]:

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+import semiwell.output
 from semiwell import (
     EXACT_CIRCLE,
     CurveKind,
@@ -406,6 +407,22 @@ class TestCurves:
     def test_curve_bits_are_frozen(self, kind, z0):
         text = "\n".join(f"{z.hex()} {y.hex()}" for z, y in emit_curves(z0, kind))
         assert hashlib.sha256(text.encode()).hexdigest() == CURVE_DIGESTS[z0][kind.name]
+
+    def test_the_curves_of_one_well_share_one_grid_in_any_order(self):
+        # a cold grid read by the last kind first gives the frozen bits, and
+        # each new well replaces the one grid kept
+        semiwell.output._grid.cache_clear()
+        for z0, digests in CURVE_DIGESTS.items():
+            for kind in reversed(CurveKind):
+                text = "\n".join(f"{z.hex()} {y.hex()}" for z, y in emit_curves(z0, kind))
+                assert hashlib.sha256(text.encode()).hexdigest() == digests[kind.name]
+            info = semiwell.output._grid.cache_info()
+            assert info.currsize == 1 and info.hits == 5 * info.misses
+
+    def test_a_returned_curve_shares_no_mutable_state(self):
+        first = emit_curves(15.0, CurveKind.SIN, samples=11)
+        first[0] = (1.0, 2.0)
+        assert emit_curves(15.0, CurveKind.SIN, samples=11)[0] == (0.0, 0.0)
 
     @pytest.mark.parametrize("z0, heights", CIRCLE_DEEP.items())
     def test_circle_stays_finite_in_the_deepest_wells(self, z0, heights):

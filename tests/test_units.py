@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from semiwell import (
     ELECTRON_MASS_SI,
     EV_SI,
+    HBAR_SI,
     DomainError,
     PhysicalWell,
     count_bound_states,
@@ -58,9 +59,10 @@ def test_electron_well_strength():
 
 
 def test_strength_overflow_guard():
-    with pytest.raises(DomainError):
+    # z0 = sqrt(2e400) 1e144 is about 1.4e344, past the 1e300 cap
+    with pytest.raises(DomainError, match="well parameters overflow the strength z0"):
         strength_from_physical(
-            PhysicalWell(mass=1e200, width_a=1e10, depth_v0=1e200, hbar=1e-34)
+            PhysicalWell(mass=1e200, width_a=1e10, depth_v0=1e200, hbar=1e-134)
         )
 
 
@@ -179,8 +181,25 @@ def test_energy_from_z_stays_finite_for_valid_wells(mass, width_a, depth, energy
     assert energy_from_z(z0 / 2, well) == pytest.approx(energy, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "mass, width_a, depth, hbar, z0",
+    [
+        # 2 m V0 = 3e-349 underflowed to 0 and raised "underflow", though z0
+        # is normal: 5.123134354809222045e-150 by mpmath at 40 digits for the
+        # float inputs (a subnormal V0 = 1.60216e-319 J)
+        (ELECTRON_MASS_SI, 1e-9, 1e-300 * EV_SI, HBAR_SI, 5.123134354809222045e-150),
+        # and 2 m V0 = 2e400 overflowed to inf and raised "overflow"
+        (1e200, 1e10, 1e200, 1e-34, 1.4142135623730951083e244),
+    ],
+)
+def test_strength_in_range_despite_an_out_of_range_2_m_v0(mass, width_a, depth, hbar, z0):
+    well = PhysicalWell(mass=mass, width_a=width_a, depth_v0=depth, hbar=hbar)
+    assert strength_from_physical(well).z0 == pytest.approx(z0, rel=1e-15)
+
+
 def test_strength_underflow_is_named():
-    # 2 m V0 = 3e-349 underflows to 0, which used to read as a z0 of 0.0
-    well = PhysicalWell(mass=ELECTRON_MASS_SI, width_a=1e-9, depth_v0=1e-300 * EV_SI)
+    # z0 = sqrt(2e-600) 1e-300 is about 1.4e-600, below float64's least
+    # subnormal 5e-324: that is an underflow, not a z0 of 0.0
+    well = PhysicalWell(mass=1e-300, width_a=1e-300, depth_v0=1e-300, hbar=1.0)
     with pytest.raises(DomainError, match="well parameters underflow the strength z0"):
         strength_from_physical(well)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import semiwell.variants
 from semiwell import (
+    ConvergenceError,
     DomainError,
     VariantKind,
     cot,
@@ -254,7 +255,9 @@ def test_a_kind_that_is_no_member_is_a_domain_error(call, kind):
 
 def test_the_scan_solves_in_three_kernel_runs(monkeypatch):
     # the band roots, the crossings from the cells' left ends and those from
-    # their right ends: three runs, not one per crossing
+    # their right ends: three runs, not one per crossing; a kept scan of this
+    # well would answer with none
+    semiwell.variants._crossings.cache_clear()
     calls = []
     band_roots = semiwell.variants._band_roots
 
@@ -265,4 +268,40 @@ def test_the_scan_solves_in_three_kernel_runs(monkeypatch):
     monkeypatch.setattr(semiwell.variants, "_band_roots", counted)
     report = enumerate_intersections(VariantKind.ABS_SIN, 220.0)
     assert report.n_spurious > 60 and report.n_total - report.n_spurious == count_bound_states(220.0)
-    assert len(calls) <= 3
+    assert 1 <= len(calls) <= 3
+
+
+def crossing_digest(reports: dict) -> str:
+    text = "\n".join(
+        f"{kind.value} {i.z.hex()} {i.spurious}"
+        for kind in VariantKind
+        for i in reports[kind].intersections
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_the_kinds_of_one_well_share_one_scan_in_any_order():
+    # a cold scan read by the last kind first gives the frozen bits, and each
+    # new well replaces the one scan kept
+    scan = semiwell.variants._crossings
+    scan.cache_clear()
+    for z0, digest in CROSSING_DIGESTS.items():
+        reports = {kind: enumerate_intersections(kind, z0) for kind in reversed(VariantKind)}
+        assert crossing_digest(reports) == digest
+        info = scan.cache_info()
+        assert info.currsize == 1 and info.hits == 3 * info.misses
+    enumerate_intersections(VariantKind.SIN, 25.0)
+    assert scan.cache_info().currsize == 1 and scan.cache_info().misses == 4
+
+
+def test_a_failed_scan_is_not_kept(monkeypatch):
+    def failing(v, frames, config, start=None):
+        raise ConvergenceError(f"injected for z0={v!r}")
+
+    semiwell.variants._crossings.cache_clear()
+    monkeypatch.setattr(semiwell.variants, "_band_roots", failing)
+    with pytest.raises(ConvergenceError, match="injected for z0=25.0"):
+        enumerate_intersections(VariantKind.CORRECT, 25.0)
+    monkeypatch.undo()
+    reports = {kind: enumerate_intersections(kind, 25.0) for kind in VariantKind}
+    assert crossing_digest(reports) == CROSSING_DIGESTS[25.0]
