@@ -11,8 +11,6 @@ from .dimensionless import (
     BoundState,
     WellStrength,
     cot,
-    energy_ratio,
-    interval_index,
     residual_exact,
     residual_interval,
     strength_value,
@@ -20,10 +18,8 @@ from .dimensionless import (
 from .errors import ConvergenceError, DomainError
 from .exact import ExactSolutionRecord, cross_validate, exact_solution
 from .output import (
-    EXACT_CIRCLE,
     CurveKind,
     OutputDocument,
-    curve_value,
     emit_curves,
     format_float,
     serialize,
@@ -32,7 +28,6 @@ from .solver import (
     NewtonTrace,
     SolveConfig,
     Spectrum,
-    bracket_for,
     count_bound_states,
     newton_solve,
     solve_all,
@@ -73,7 +68,6 @@ __all__ = [
     "DomainError",
     "ELECTRON_MASS_SI",
     "EV_SI",
-    "EXACT_CIRCLE",
     "ExactSolutionRecord",
     "HBAR_SI",
     "Intersection",
@@ -87,22 +81,18 @@ __all__ = [
     "VariantReport",
     "WavefunctionSpec",
     "WellStrength",
-    "bracket_for",
     "build_wavefunction",
     "cot",
     "count_bound_states",
     "critical_depth",
     "cross_validate",
-    "curve_value",
     "emit_curves",
     "energy_from_z",
-    "energy_ratio",
     "enumerate_intersections",
     "evaluate",
     "exact_solution",
     "filtered_equivalence",
     "format_float",
-    "interval_index",
     "newton_solve",
     "probability_inside",
     "quadrature_norm_check",

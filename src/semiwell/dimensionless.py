@@ -123,16 +123,6 @@ def _band_top(e_hi: float, e_lo: float) -> tuple[float, float]:
     return hi, ((e_hi - hi) + _HALF_PI) + (e_lo + 0.5 * _PI_LO)
 
 
-def _frame_edges(frame: tuple[int, float, float, float]) -> tuple[float, float]:
-    # the floats nearest the edges of a frame's band, the only place a root can sit
-    _, e_hi, e_lo, _ = frame
-    return e_hi, sum(_band_top(e_hi, e_lo))
-
-
-def _band_edges(m: int) -> tuple[float, float]:
-    return _frame_edges(next(_band_frames((m,), 0.0)))
-
-
 class BoundState(namedtuple("BoundState", "m z z_tilde energy_ratio")):
     """A single bound state: interval index m, root z, decay constant z_tilde.
 
@@ -149,7 +139,9 @@ class BoundState(namedtuple("BoundState", "m z z_tilde energy_ratio")):
         cls, m: int, z: float, z_tilde: float, energy_ratio: float
     ) -> BoundState:
         _check_int("interval index", m, 1)
-        lo, hi = _band_edges(m)
+        # the floats nearest the band's edges, the only place a root can sit
+        _, lo, e_lo, _ = next(_band_frames((m,), 0.0))
+        hi = sum(_band_top(lo, e_lo))
         if not lo <= z <= hi:
             raise DomainError(f"z={z!r} outside interval [{lo!r}, {hi!r}] for m={m}")
         if not z_tilde > 0.0:
@@ -191,6 +183,8 @@ def _circle_scale(v: float) -> float:
     return 2.0**-600 if v > 2.0**500 else 1.0
 
 
+# bench/tracing.py counts calls of this function by its code object, so it
+# stays until the tracer counts elsewhere (ROADMAP item 1)
 def residual_interval(z: float, m: int, z0: WellStrength | float) -> float:
     """f(z) = z + (-1)^m z0 sin(z), smooth surrogate for the m-th band.
 
@@ -203,31 +197,3 @@ def residual_interval(z: float, m: int, z0: WellStrength | float) -> float:
     v = strength_value(z0)
     sign = -1.0 if m % 2 else 1.0
     return z + sign * v * math.sin(z)
-
-
-def energy_ratio(z: float, z0: WellStrength | float) -> float:
-    """E / V0 = (z / z0)^2 for a root z of the eigenvalue equation."""
-    v = strength_value(z0)
-    if not 0.0 < z < v:
-        raise DomainError(f"z must lie in (0, z0): z={z!r}, z0={v!r}")
-    return (z / v) ** 2
-
-
-def interval_index(z: float) -> int:
-    """Index m of the band ((2m - 1) pi / 2, m pi) containing z.
-
-    Only these bands (where cot(z) <= 0) can hold roots.  As in
-    :class:`BoundState`, the floats nearest the band's edges belong to it.
-    A z outside every band, or past m = 2^50, where z / pi may round by a
-    quarter, raises DomainError.
-    """
-    if not math.isfinite(z) or z < _HALF_PI:
-        raise DomainError(f"z={z!r} lies below the first root interval")
-    # the one candidate, whose steps lie mid-gap, a quarter pi from any edge
-    m = math.ceil(z / math.pi - 0.25)
-    if m > 2**50:
-        raise DomainError(f"z={z!r} is past float64's band resolution for an index")
-    lo, hi = _band_edges(m)
-    if not lo <= z <= hi:
-        raise DomainError(f"z={z!r} lies between root intervals (cot z > 0 there)")
-    return m

@@ -11,9 +11,9 @@ the odd-band half, k = 2n:
 
 on band 2n + 1.  The even-band half, z = (8n + 7) pi / 4 on band 2n + 2,
 is not coded, though the solver finds its states too.  In natural units
-(hbar = 1, m = 1/2, a = 1) the matching depth is
-V0 = (8n + 3)^2 pi^2 / 16.  These members double as an analytic
-cross-check of the Newton solver.
+(hbar = 1, m = 1, a = 1) the matching depth is
+V0 = z0_n^2 / 2 = (8n + 3)^2 pi^2 / 16.  These members double as an
+analytic cross-check of the Newton solver.
 
 Note the index n ranges over wells, not energy levels: each record pairs
 one energy with its own specially chosen depth z0_n, so different n are

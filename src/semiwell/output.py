@@ -10,8 +10,8 @@ construction.  Serialization is deterministic: same document, same bytes.
 
 The plot-ready curves are evaluated a grid at a time, the rewritten
 right-hand sides z0 g(z) from the table of :mod:`semiwell.variants`, so no
-sample costs a Python call; :func:`curve_value` evaluates a grid of one z.
-The curves of one well share one grid and its sines: the last grid is kept.
+sample costs a Python call.  The curves of one well share one grid and its
+sines: the last grid is kept.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .dimensionless import (
-    _SIN_GUARD,
-    WellStrength,
-    _check_int,
-    _circle_scale,
-    strength_value,
-)
+from .dimensionless import WellStrength, _check_int, _circle_scale, strength_value
 from .errors import DomainError
 from .variants import _G, VariantKind
 
@@ -161,10 +155,6 @@ class CurveKind(enum.Enum):
     CORRECT = "correct"
 
 
-# the exact left-hand-side curve, under its conventional name
-EXACT_CIRCLE = CurveKind.CIRCLE
-
-
 def _curve_points(kind: object, v: float, grid: tuple, sines: tuple, band: float) -> list:
     # (z, height) of the named curve over grid in [0, v] and its sines, v a
     # validated z0; cot drops |sin z| < band, and |z cot z| <= z0 / band may overflow
@@ -181,17 +171,6 @@ def _curve_points(kind: object, v: float, grid: tuple, sines: tuple, band: float
     if math.isinf(v / band) and any(math.isinf(y) for _, y in points):
         raise DomainError(f"the cot curve -z cot(z) overflows float64 for z0={v!r}")
     return points
-
-
-def curve_value(kind: CurveKind, z: float, z0: WellStrength | float) -> float:
-    """Height of the named curve at z, for z in [0, z0]."""
-    v = strength_value(z0)
-    if not 0.0 <= z <= v:
-        raise DomainError(f"z must lie in [0, z0]: z={z!r}, z0={v!r}")
-    points = _curve_points(kind, v, (z,), (math.sin(z),), _SIN_GUARD)
-    if not points:
-        raise DomainError(f"cot undefined this close to a multiple of pi: z={z!r}")
-    return points[0][1]
 
 
 def emit_curves(

@@ -23,12 +23,12 @@ Inputs are checked once per public call.  One batch kernel,
 :func:`_band_roots`, solves a run of bands per call with Newton inline on
 the plain float z0: :func:`solve_spectrum` passes every counted band, with
 a list for the step counts that ``semiwell solve`` prints, and
-:func:`solve_all` reads its states; :func:`newton_solve` passes one band
-past :func:`bracket_for`'s check, with a list for the z history; and
-:mod:`semiwell.variants` its bands and its starts between them.  A band
-with eps_m > 0 holds its root within its edges, with z_tilde > 0 and
-z < z0, and the kernel refuses an iterate that a loose root_tol stopped
-outside them, so the solver builds its states bare.
+:func:`solve_all` reads its states; :func:`newton_solve` passes one band,
+once it has checked that the band holds a root, with a list for the z
+history; and :mod:`semiwell.variants` its bands and its starts between
+them.  A band with eps_m > 0 holds its root within its edges, with
+z_tilde > 0 and z < z0, and the kernel refuses an iterate that a loose
+root_tol stopped outside them, so the solver builds its states bare.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .dimensionless import (
     WellStrength,
     _band_frames,
     _band_top,
-    _frame_edges,
     _check_int,
     _validated_make,
     strength_value,
@@ -85,11 +84,13 @@ class Spectrum(namedtuple("Spectrum", "states newton_iters")):
     __slots__ = ()
 
 
-class NewtonTrace(namedtuple("NewtonTrace", "iterates converged fallback_bisections")):
+class NewtonTrace(namedtuple("NewtonTrace", "iterates fallback_bisections")):
     """Iterate history of one root solve in z, from the band midpoint.
 
     iterates is a tuple of floats; fallback_bisections is always 0: no
-    Newton step needs a safeguard.
+    Newton step needs a safeguard.  bench/tracing.py reads both fields, so
+    fallback_bisections stays until the tracer counts elsewhere (ROADMAP
+    item 1).
     """
 
     __slots__ = ()
@@ -111,28 +112,6 @@ def count_bound_states(z0: WellStrength | float) -> int:
     # band 0's eps, z0 + pi/2, is positive: the count never falls below 0
     (_, _, _, here), (_, _, _, past) = _band_frames((n, n + 1), v)
     return n + 1 if past > 0.0 else n if here > 0.0 else n - 1
-
-
-def bracket_for(m: int, z0: WellStrength | float) -> tuple[float, float]:
-    """Floats nearest the edges of the band ((2m - 1) pi / 2, m pi) of root m.
-
-    Raises DomainError when band m holds no root for this z0 (z0 lies at or
-    below its left edge) or is past float64's band resolution (m > 2^52).
-    """
-    return _frame_edges(_root_frame(m, strength_value(z0)))
-
-
-def _root_frame(m: int, v: float) -> tuple[int, float, float, float]:
-    # band m's frame, for a validated strength v, if the band holds a root;
-    # m - 1 < z0 / pi compares exactly, so a huge m never reaches the frame,
-    # and the count only words the error
-    _check_int("interval index", m, 1)
-    if m - 1 < v / math.pi and (frame := next(_band_frames((m,), v)))[3] > 0.0:
-        return frame
-    raise DomainError(
-        f"band m={m} holds no root: z0={v!r} supports "
-        f"{count_bound_states(v)} bound state(s)"
-    )
 
 
 def _band_roots(
@@ -235,16 +214,25 @@ def newton_solve(
     """Solve for the m-th root of a well of strength z0.
 
     Newton on the band's concave residual (see the module docstring), from
-    the band midpoint (4m - 1) pi / 4; m must be a band of
-    :func:`bracket_for`.  The root is accepted when its residual is within
-    config.residual_tol or, where float64 cannot reach that, within the
-    rounding floor of the residual.
+    the band midpoint (4m - 1) pi / 4.  The root is accepted when its
+    residual is within config.residual_tol or, where float64 cannot reach
+    that, within the rounding floor of the residual.  Raises DomainError
+    when band m holds no root for this z0 (z0 lies at or below its left
+    edge) or is past float64's band resolution (m > 2^52).
     """
     v = strength_value(z0)
+    _check_int("interval index", m, 1)
+    # m - 1 < z0 / pi compares exactly, so a huge m never reaches the frame,
+    # and the count only words the error
+    if not (m - 1 < v / math.pi and (frame := next(_band_frames((m,), v)))[3] > 0.0):
+        raise DomainError(
+            f"band m={m} holds no root: z0={v!r} supports "
+            f"{count_bound_states(v)} bound state(s)"
+        )
     zs: list[float] = []
-    [(_, z, z_tilde)] = _band_roots(v, (_root_frame(m, v),), config, zs)
+    [(_, z, z_tilde)] = _band_roots(v, (frame,), config, zs)
     state = tuple.__new__(BoundState, (m, z, z_tilde, (z / v) ** 2))
-    return state, NewtonTrace(tuple(zs), converged=True, fallback_bisections=0)
+    return state, NewtonTrace(tuple(zs), fallback_bisections=0)
 
 
 def solve_spectrum(

@@ -80,6 +80,8 @@ def _rewriting(kind: VariantKind) -> tuple:
     return _G[kind], _KEEP[kind]
 
 
+# bench/tracing.py counts calls of this function by its code object, so it
+# stays until the tracer counts elsewhere (ROADMAP item 1)
 def variant_residual(kind: VariantKind, z: float, z0: WellStrength | float) -> float:
     """z - z0 g(z) for the chosen rewriting; zero at an intersection."""
     v = strength_value(z0)

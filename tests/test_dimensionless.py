@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,25 +18,21 @@ from semiwell import (
     BoundState,
     DomainError,
     WellStrength,
-    bracket_for,
     cot,
     count_bound_states,
-    energy_ratio,
-    interval_index,
     newton_solve,
     residual_exact,
     residual_interval,
     solve_all,
     strength_value,
 )
-from semiwell.dimensionless import _band_edges
 
 # frozen: 3 pi / 4 - 15 sqrt(2) / 2
 RESIDUAL_AT_MIDPOINT = -8.2504072276058679
 # frozen: sqrt(225 - pi^2 / 4)
 RESIDUAL_AT_COT_ZERO = 14.917526567756722
-# frozen: (2.94404 / 15)^2
-RATIO_AT_TABLE_ROOT = 0.038521651207111111
+# pi - math.pi, from a 50-digit mpmath value of pi
+PI_LO = 1.2246467991473532e-16
 
 EXACT_Z = 3.0 * math.pi / 4.0
 EXACT_Z0 = math.sqrt(2.0) * EXACT_Z
@@ -190,53 +187,43 @@ def test_band_index_must_be_a_positive_int(m):
     with pytest.raises(DomainError, match="interval index"):
         residual_interval(3.0, m, 15.0)
     with pytest.raises(DomainError, match="interval index"):
-        bracket_for(m, 15.0)
-    with pytest.raises(DomainError, match="interval index"):
         newton_solve(m, 15.0)
     with pytest.raises(DomainError, match="interval index"):
         BoundState(m=m, z=2.944, z_tilde=14.708, energy_ratio=0.0385)
 
 
-def test_energy_ratio_values():
-    assert energy_ratio(7.5, 15.0) == 0.25
-    assert energy_ratio(EXACT_Z, EXACT_Z0) == pytest.approx(0.5, abs=1e-15)
-    assert energy_ratio(2.94404, 15.0) == pytest.approx(RATIO_AT_TABLE_ROOT, rel=1e-13)
-    with pytest.raises(DomainError):
-        energy_ratio(15.0, 15.0)
-    with pytest.raises(DomainError):
-        energy_ratio(0.0, 15.0)
+def _state(m, z):
+    # a state of band m at z, with a decay constant and E/V0 that pass
+    return BoundState(m=m, z=z, z_tilde=1.0, energy_ratio=0.5)
 
 
-def test_interval_index_on_bands_and_gaps():
-    assert interval_index(2.0) == 1
-    assert interval_index(6.0) == 2
-    assert interval_index(math.pi) == 1  # right edge belongs to the band
-    with pytest.raises(DomainError):
-        interval_index(1.0)  # below the first band
-    with pytest.raises(DomainError):
-        interval_index(3.5)  # in the gap (pi, 3 pi / 2]
-    with pytest.raises(DomainError):
-        interval_index(math.inf)
+def test_bound_state_band_membership_on_bands_and_gaps():
+    assert _state(1, 2.0).m == 1
+    assert _state(2, 6.0).m == 2
+    assert _state(1, math.pi).z == math.pi  # right edge belongs to the band
+    for m, z in [(1, 1.0), (1, 3.5), (2, 3.5), (1, math.inf), (2, math.nan)]:
+        # below the first band, in the gap (pi, 3 pi / 2] or no number
+        with pytest.raises(DomainError, match="outside interval"):
+            _state(m, z)
     # the float nearest 11 pi lies one ulp above 11 * math.pi
-    assert interval_index(34.55751918948773) == 11
+    assert _state(11, 34.55751918948773).m == 11
+    # past band 2^52 no band can be placed
+    with pytest.raises(DomainError, match="float64's band resolution"):
+        _state(2**52 + 1, 1.5e16)
 
 
-def test_interval_index_reads_the_floats_nearest_the_band_edges():
-    # as in BoundState, the floats nearest a band's edges belong to it, the
-    # floats past them do not; the candidate index never slips at an edge
+def test_bound_state_admits_the_floats_nearest_the_band_edges():
+    # the floats nearest a band's edges belong to it, the floats past them
+    # do not; the edges are rounded here from pi to about 1e-32
+    pi = Fraction(math.pi) + Fraction(PI_LO)
     rng = random.Random(4)
     for m in [*range(1, 3000), *(rng.randint(1, 2**50) for _ in range(3000))]:
-        lo, hi = _band_edges(m)
-        assert interval_index(lo) == interval_index(hi) == m
-        assert interval_index(math.nextafter(lo, math.inf)) == m
+        lo, hi = float((2 * m - 1) * pi / 2), float(m * pi)
+        for z in (lo, math.nextafter(lo, math.inf), hi):
+            assert _state(m, z).z == z
         for z in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
-            with pytest.raises(DomainError, match="root interval"):
-                interval_index(z)
-
-
-def test_interval_index_refuses_z_past_its_band_resolution():
-    with pytest.raises(DomainError, match="float64's band resolution"):
-        interval_index(1e16)
+            with pytest.raises(DomainError, match="outside interval"):
+                _state(m, z)
 
 
 @given(
@@ -260,5 +247,5 @@ def test_interval_form_agrees_with_exact_form_at_roots(z0):
     for state in solve_all(z0):
         assert abs(residual_interval(state.z, state.m, z0)) < 1e-9
         assert cot(state.z) < 0.0
-        assert interval_index(state.z) == state.m
+        assert BoundState(*state) == state  # the root lies in band m
         assert abs(residual_exact(state.z, z0)) < 1e-9

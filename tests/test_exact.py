@@ -12,12 +12,13 @@ import pytest
 
 from semiwell import (
     DomainError,
-    bracket_for,
+    PhysicalWell,
     count_bound_states,
     cross_validate,
     exact_solution,
     residual_exact,
     solve_all,
+    strength_from_physical,
 )
 
 P_INSIDE_FROZEN = {
@@ -40,12 +41,15 @@ def test_energy_sits_exactly_halfway_up(n):
     assert exact_solution(n).energy_over_v0 == 0.5
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 5 * 10**152])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 100, 10**6, 10**12, 5 * 10**152])
 def test_natural_depth_is_z_squared(n):
-    # with hbar = 1, m = 1/2, a = 1: V0 = z0^2 / 2 = z^2
+    # with hbar = 1, m = 1, a = 1: V0 = z0^2 / 2 = z^2, and the units turn V0
+    # back into the member's own z0
     rec = exact_solution(n)
     assert rec.v0_natural == pytest.approx(rec.z**2, rel=1e-14)
     assert rec.v0_natural == pytest.approx((8 * n + 3) ** 2 * math.pi**2 / 16, rel=1e-15)
+    z0 = strength_from_physical(PhysicalWell(1.0, 1.0, rec.v0_natural, 1.0)).z0
+    assert z0 == pytest.approx(rec.z0, rel=1e-15)
 
 
 @pytest.mark.parametrize("n,want", sorted(P_INSIDE_FROZEN.items()))
@@ -98,8 +102,7 @@ def test_member_lands_in_band_2n_plus_1(n):
     rec = exact_solution(n)
     m = 2 * n + 1
     assert m <= count_bound_states(rec.z0)
-    lo, hi = bracket_for(m, rec.z0)
-    assert lo < rec.z < hi
+    assert (2 * m - 1) * math.pi / 2 < rec.z < m * math.pi
 
 
 def test_rejects_negative_index():

@@ -12,13 +12,11 @@ import pytest
 
 import semiwell.output
 from semiwell import (
-    EXACT_CIRCLE,
     CurveKind,
     DomainError,
     OutputDocument,
     VariantKind,
     cot,
-    curve_value,
     emit_curves,
     exact_solution,
     format_float,
@@ -327,9 +325,6 @@ class TestCurves:
         assert z_last == 15.0
         assert v_last == 0.0
 
-    def test_exact_circle_alias(self):
-        assert EXACT_CIRCLE is CurveKind.CIRCLE
-
     def test_circle_curve_is_monotone_decreasing(self):
         pts = emit_curves(15.0, CurveKind.CIRCLE, samples=200)
         values = [v for _, v in pts]
@@ -341,9 +336,12 @@ class TestCurves:
         for z, _ in pts:
             assert abs(math.sin(z)) >= 1e-6
 
-    def test_cot_curve_value_at_cot_zero(self):
-        # -z cot z crosses zero where cos does
-        assert abs(curve_value(CurveKind.COT, math.pi / 2, 15.0)) < 1e-14
+    def test_cot_curve_at_cot_zero(self):
+        # -z cot z crosses zero where cos does: of the grid 0, pi/2, pi the
+        # cot curve keeps only the sample off its poles
+        [(z, height)] = emit_curves(math.pi, CurveKind.COT, 3)
+        assert z == math.pi / 2
+        assert abs(height) < 1e-14
 
     def test_variant_kind_accepted_directly(self):
         a = emit_curves(15.0, VariantKind.SIN, samples=50)
@@ -378,10 +376,10 @@ class TestCurves:
 
     @pytest.mark.parametrize("z0", [15.0, 7.7898, 177.4971, 3 * math.pi])
     @pytest.mark.parametrize("kind", list(CurveKind))
-    def test_emit_curves_is_curve_value_sample_by_sample(self, kind, z0):
-        # each sample is the curve's textbook expression, bit for bit, and
-        # curve_value's; at z0 = 3 pi the samples i = 333, 666 and 999 sit on
-        # the poles at pi, 2 pi and 3 pi, so cot drops them and the 0/0 at z = 0
+    def test_emit_curves_is_the_textbook_curve_sample_by_sample(self, kind, z0):
+        # each sample is the curve's textbook expression, bit for bit; at
+        # z0 = 3 pi the samples i = 333, 666 and 999 sit on the poles at pi,
+        # 2 pi and 3 pi, so cot drops them and the 0/0 at z = 0
         height = {
             CurveKind.CIRCLE: lambda z: math.sqrt((z0 - z) * (z0 + z)),
             CurveKind.COT: lambda z: -z * (math.cos(z) / math.sin(z)),
@@ -398,7 +396,6 @@ class TestCurves:
             want.append((z, height(z)))
         got = emit_curves(z0, kind)
         assert repr(got) == repr(want)
-        assert repr([(z, curve_value(kind, z, z0)) for z, _ in got]) == repr(want)
         if kind is CurveKind.COT and z0 == 3 * math.pi:
             assert len(got) == 996
 
@@ -433,7 +430,6 @@ class TestCurves:
         for (_, y), want in zip(got, heights):
             assert abs(y - want) <= 2.0 * math.ulp(want)
         z = z0 / 2
-        assert curve_value(CurveKind.CIRCLE, z, z0) == got[2][1]
         assert residual_exact(z, z0) == got[2][1] + z * cot(z)
 
     def test_cot_curve_overflow_is_a_domain_error(self):
@@ -443,14 +439,6 @@ class TestCurves:
             emit_curves(1e308, CurveKind.COT)
         assert all(math.isfinite(y) for _, y in emit_curves(1.7e302, CurveKind.COT))
         assert all(math.isfinite(y) for _, y in emit_curves(1e305, CurveKind.COT))
-
-    def test_curve_value_domain(self):
-        with pytest.raises(DomainError):
-            curve_value(CurveKind.CIRCLE, -0.5, 15.0)
-        with pytest.raises(DomainError):
-            curve_value(CurveKind.CIRCLE, 15.5, 15.0)
-        with pytest.raises(DomainError):
-            curve_value(CurveKind.COT, 0.0, 15.0)
 
     def test_circle_meets_cot_at_the_roots(self):
         """Sign changes of (circle - cot) between consecutive samples in the

@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+import semiwell
 from semiwell import (
     BoundState,
     DomainError,
@@ -113,3 +114,60 @@ def test_documents_get_their_own_diagnostics():
     second = OutputDocument("count", {}, {})
     first.diagnostics["note"] = 1
     assert second.diagnostics == {}
+
+
+PUBLIC_NAMES = [
+    "BoundState",
+    "ConvergenceError",
+    "CurveKind",
+    "DomainError",
+    "ELECTRON_MASS_SI",
+    "EV_SI",
+    "ExactSolutionRecord",
+    "HBAR_SI",
+    "Intersection",
+    "NM_SI",
+    "NewtonTrace",
+    "OutputDocument",
+    "PhysicalWell",
+    "SolveConfig",
+    "Spectrum",
+    "VariantKind",
+    "VariantReport",
+    "WavefunctionSpec",
+    "WellStrength",
+    "__version__",
+    "build_wavefunction",
+    "cot",
+    "count_bound_states",
+    "critical_depth",
+    "cross_validate",
+    "emit_curves",
+    "energy_from_z",
+    "enumerate_intersections",
+    "evaluate",
+    "exact_solution",
+    "filtered_equivalence",
+    "format_float",
+    "newton_solve",
+    "probability_inside",
+    "quadrature_norm_check",
+    "residual_exact",
+    "residual_interval",
+    "serialize",
+    "solve_all",
+    "solve_spectrum",
+    "strength_from_physical",
+    "strength_value",
+    "variant_residual",
+]
+
+
+def test_the_public_surface_is_frozen():
+    # a name joins or leaves the package on purpose, never by accident
+    assert sorted(semiwell.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(semiwell, name) is not None
+    for gone in ("bracket_for", "curve_value", "energy_ratio", "interval_index", "EXACT_CIRCLE"):
+        assert not hasattr(semiwell, gone)
+    assert NewtonTrace._fields == ("iterates", "fallback_bisections")

@@ -24,10 +24,8 @@ from semiwell import (
     SolveConfig,
     Spectrum,
     WellStrength,
-    bracket_for,
     build_wavefunction,
     count_bound_states,
-    interval_index,
     newton_solve,
     probability_inside,
     residual_exact,
@@ -36,7 +34,7 @@ from semiwell import (
     solve_spectrum,
 )
 from semiwell.cli import run
-from semiwell.dimensionless import _PI_SPLIT, _band_edges, _band_frames
+from semiwell.dimensionless import _PI_SPLIT, _band_frames, _band_top
 
 # pi - math.pi, from a 50-digit mpmath value of pi
 PI_LO = 1.2246467991473532e-16
@@ -152,31 +150,42 @@ def test_count_answers_at_any_depth():
     assert isinstance(n, int) and n > 10**307
 
 
-def test_bracket_for_bounds():
-    lo, hi = bracket_for(1, 15.0)
-    assert lo == math.pi / 2 and hi == math.pi
-    lo, hi = bracket_for(5, 15.0)
-    assert lo == 9 * math.pi / 2 and hi == 5 * math.pi
+def _edges(m):
+    # the floats nearest band m's edges, from its frame
+    e_hi, e_lo, _ = _frame(m, 0.0)
+    return e_hi, sum(_band_top(e_hi, e_lo))
+
+
+def test_band_edge_floats():
+    assert _edges(1) == (math.pi / 2, math.pi)
+    assert _edges(5) == (9 * math.pi / 2, 5 * math.pi)
 
 
 @pytest.mark.parametrize("z0", [2.0, 15.0, 25.0, 40.0])
 def test_bracket_endpoints_straddle_the_root(z0):
-    # the smooth band residual must change sign across every returned bracket
+    # the band residual f(z) = z - z0 |sin z| must change sign across the
+    # edges of every band that holds a root
     for m in range(1, count_bound_states(z0) + 1):
-        lo, hi = bracket_for(m, z0)
-        assert residual_interval(lo, m, z0) < 0.0
-        assert residual_interval(hi, m, z0) > 0.0
+        lo, hi = _edges(m)
+        assert lo - z0 * abs(math.sin(lo)) < 0.0
+        assert hi - z0 * abs(math.sin(hi)) > 0.0
 
 
-def test_bracket_for_rejects_empty_bands():
-    with pytest.raises(DomainError):
-        bracket_for(6, 15.0)  # z0 = 15 holds only five states
-    with pytest.raises(DomainError):
-        bracket_for(1, 1.0)
-    with pytest.raises(DomainError):
-        bracket_for(0, 15.0)
-    with pytest.raises(DomainError):
-        bracket_for(10**400, 15.0)  # no float holds 2m - 1
+@pytest.mark.parametrize(
+    "m,z0,message",
+    [
+        (6, 15.0, "band m=6 holds no root: z0=15.0 supports 5 bound state"),
+        (1, 1.0, "band m=1 holds no root: z0=1.0 supports 0 bound state"),
+        # at the threshold z0 = 3 pi / 2 band 2 only grazes the circle
+        (2, 3 * math.pi / 2, "band m=2 holds no root: z0=4.71238898038469 supports 1 bound"),
+        (0, 15.0, "interval index must be an int >= 1, got 0"),
+        # no float holds 2m - 1
+        (10**400, 15.0, "holds no root: z0=15.0 supports 5 bound state"),
+    ],
+)
+def test_newton_solve_rejects_empty_bands(m, z0, message):
+    with pytest.raises(DomainError, match=message):
+        newton_solve(m, z0)
 
 
 def test_solve_config_validation():
@@ -221,21 +230,18 @@ class TestNewtonSolve:
     def test_lands_on_closed_form_root(self):
         # z0 = 3*sqrt(2)*pi/4 puts the ground state exactly at z = 3*pi/4
         z0 = 3.0 * math.sqrt(2.0) * math.pi / 4.0
-        state, trace = newton_solve(1, z0)
-        assert trace.converged
+        state, _ = newton_solve(1, z0)
         assert state.z == pytest.approx(3.0 * math.pi / 4.0, rel=1e-14)
         assert abs(residual_exact(state.z, z0)) < 1e-12
 
     def test_final_iterate_residual_below_tolerance(self):
         for m in range(1, 6):
             _, trace = newton_solve(m, 15.0)
-            assert trace.converged
             assert abs(residual_interval(trace.iterates[-1], m, 15.0)) < 1e-9
 
     def test_no_bisection_needed_for_plain_wells(self):
         for m in range(1, 6):
             _, trace = newton_solve(m, 15.0)
-            assert trace.converged
             assert trace.fallback_bisections == 0
 
     def test_trace_is_short(self):
@@ -243,8 +249,7 @@ class TestNewtonSolve:
         assert len(trace.iterates) <= 8
 
     def test_respects_iteration_cap_config(self):
-        state, trace = newton_solve(2, 25.0, SolveConfig(max_newton_iters=30))
-        assert trace.converged
+        _, trace = newton_solve(2, 25.0, SolveConfig(max_newton_iters=30))
         assert len(trace.iterates) <= 31
 
     def test_rejects_band_without_root(self):
@@ -317,8 +322,7 @@ def test_spectrum_invariants_hold_across_strengths(z0):
 def test_deep_roots_are_certified_at_the_rounding_floor(m, z0):
     # |f'| ~ z0 here, so even the float nearest the root leaves |f| of
     # about z0 ulp(z), 6e-6 and 1e-4, far above residual_tol
-    state, trace = newton_solve(m, z0)
-    assert trace.converged
+    state, _ = newton_solve(m, z0)
     step = 2.0 * math.ulp(state.z)
     assert residual_interval(state.z - step, m, z0) < 0.0
     assert residual_interval(state.z + step, m, z0) > 0.0
@@ -428,7 +432,7 @@ def test_band_edges_are_exact_pairs():
         assert _frame(m, below)[2] == 0.0 == _frame(m, above)[2]
         assert _frame(m, hi)[2] == 0.0
         assert _frame(m, math.nextafter(above, math.inf))[2] > 0.0 < eps
-        assert _band_edges(m) == (hi, float(m * pi))
+        assert sum(_band_top(hi, lo)) == float(m * pi)
 
 
 # frozen: top state at z0 = k pi / 2 + d, 50-digit mpmath
@@ -470,8 +474,7 @@ def test_top_band_of_a_very_deep_well():
     # tolerance is relative to delta, so z_tilde = z0 sin(delta) keeps
     # delta's full relative precision
     m = 318_309_886_184
-    state, trace = newton_solve(m, 1e12)
-    assert trace.converged
+    state, _ = newton_solve(m, 1e12)
     assert abs(state.z - 999999999999.0868) <= math.ulp(state.z)
     assert state.z_tilde == pytest.approx(1351421.633862696, rel=1e-15)
 
@@ -481,8 +484,7 @@ def test_ground_state_of_an_extremely_deep_well(z0):
     # the root is pi (1 - 1/z0) to first order, so its float is math.pi;
     # E/V0 = (z / z0)^2 underflows to 0.0 above z0 of about 1.6e162, which
     # the state accepts since its band already certifies E > 0
-    state, trace = newton_solve(1, z0)
-    assert trace.converged
+    state, _ = newton_solve(1, z0)
     assert state.z == math.pi
     assert state.z_tilde == pytest.approx(z0, rel=1e-15)
     assert state.energy_ratio == (math.pi / z0) ** 2
@@ -606,8 +608,7 @@ def test_low_state_of_a_very_deep_well_at_the_right_edge(z0, m, z, z_tilde):
     assert state.z == z == trace.iterates[-1]
     assert state.z_tilde == pytest.approx(z_tilde, rel=2e-16)
     assert BoundState(*state) == state
-    assert interval_index(state.z) == m
-    assert z <= bracket_for(m, z0)[1]
+    assert z == float(m * (Fraction(math.pi) + Fraction(PI_LO)))
 
 
 @pytest.mark.parametrize("z0", [1e17, 1e20])
@@ -617,9 +618,8 @@ def test_bands_past_float64_resolution_are_refused(z0):
     n = count_bound_states(z0)
     assert n == round(z0 / math.pi) > 2**52
     for m in (n, n - 1, n // 2):
-        for call in (bracket_for, newton_solve):
-            with pytest.raises(DomainError, match="float64's band resolution"):
-                call(m, z0)
+        with pytest.raises(DomainError, match="float64's band resolution"):
+            newton_solve(m, z0)
     # solve_all refuses the well before its loop, not after 2^52 solves
     with pytest.raises(DomainError, match="float64's band resolution"):
         solve_all(z0)
@@ -649,14 +649,12 @@ def test_solver_states_pass_the_public_constructor(capsys):
         z0 = math.exp(rng.uniform(0.0, math.log(3e4)))
         for state in _solver_states(z0, i % 10 == 0, capsys):
             assert BoundState(*state) == state
-            assert interval_index(state.z) == state.m
             checked += 1
     deep = [(m, z0) for z0 in (1e16, 1e17, 1e20, 1e100, 1e300) for m in range(1, 200)]
     # the top root of 1e12 rounds to the float nearest its band's left edge
     for m, z0 in [*deep, (318_309_886_184, 1e12)]:
         state = newton_solve(m, z0)[0]
         assert BoundState(*state) == state
-        assert interval_index(state.z) == m
         checked += 1
     assert checked > 250_000
     # a loose root_tol stops Newton short of the root, past z0 in band 2 of

@@ -16,7 +16,6 @@ from semiwell import (
     VariantKind,
     cot,
     count_bound_states,
-    curve_value,
     emit_curves,
     enumerate_intersections,
     filtered_equivalence,
@@ -239,12 +238,11 @@ def test_crossing_bits_are_frozen(z0):
     "call",
     [
         lambda kind: emit_curves(15.0, kind),
-        lambda kind: curve_value(kind, 1.0, 15.0),
         lambda kind: enumerate_intersections(kind, 15.0),
         lambda kind: filtered_equivalence(kind, 15.0),
         lambda kind: variant_residual(kind, 1.0, 15.0),
     ],
-    ids=["emit_curves", "curve_value", "enumerate_intersections", "filtered_equivalence", "variant_residual"],
+    ids=["emit_curves", "enumerate_intersections", "filtered_equivalence", "variant_residual"],
 )
 @pytest.mark.parametrize("kind", ["sin", None, 3])
 def test_a_kind_that_is_no_member_is_a_domain_error(call, kind):
