@@ -24,10 +24,10 @@ import argparse
 import math
 import sys
 
-from .dimensionless import WellStrength, residual_exact
+from .dimensionless import BoundState, WellStrength, residual_exact
 from .errors import ConvergenceError, DomainError
 from .exact import exact_solution
-from .output import CurveKind, OutputDocument, emit_curves, serialize
+from .output import CurveKind, OutputDocument, Table, emit_curves, serialize
 from .solver import SolveConfig, count_bound_states, newton_solve, solve_spectrum
 from .units import (
     ELECTRON_MASS_SI,
@@ -188,14 +188,13 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
         inputs.update({"tol": config.root_tol, "max_iter": config.max_newton_iters})
         _check_enumerable(strength)
         states, steps = solve_spectrum(strength, config)
-        roots = [
-            {**s._asdict(), "residual": residual_exact(s.z, strength), "newton_iters": i}
-            for s, i in zip(states, steps)
-        ]
+        residuals = [residual_exact(s.z, strength) for s in states]
+        header = (*BoundState._fields, "residual", "newton_iters")
+        roots = Table(header, [(*s, r, i) for s, r, i in zip(states, residuals, steps)])
         diagnostics = {
             "newton_iters_total": sum(steps),
             "fallback_bisections_total": 0,  # Newton needs no fallback step
-            "max_abs_residual": max((abs(r["residual"]) for r in roots), default=0.0),
+            "max_abs_residual": max(map(abs, residuals), default=0.0),
         }
         results = {"count": len(states), "roots": roots}
         return OutputDocument(
@@ -218,10 +217,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
         state, _ = newton_solve(args.state, strength, config)
         spec = build_wavefunction(state, strength, a=width)
         x_max = spec.a + 8.0 / spec.k_tilde
-        points = []
-        for i in range(args.samples):
-            x = x_max * (i / (args.samples - 1))
-            points.append({"x": x, "psi": evaluate(spec, x)})
+        xs = [x_max * (i / (args.samples - 1)) for i in range(args.samples)]
         return OutputDocument(
             command="wavefn",
             inputs=inputs,
@@ -229,7 +225,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
                 **state._asdict(),
                 **spec._asdict(),
                 "probability_inside": probability_inside(spec),
-                "points": points,
+                "points": Table(("x", "psi"), [(x, evaluate(spec, x)) for x in xs]),
             },
         )
 
@@ -239,6 +235,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
         inputs["kind"] = kind.value
         _check_enumerable(strength)
         report = enumerate_intersections(kind, strength)
+        rows = [(pos, i.z, i.spurious) for pos, i in enumerate(report.intersections, 1)]
         return OutputDocument(
             command="variants",
             inputs=inputs,
@@ -246,10 +243,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
                 "kind": kind.value,
                 "n_total": report.n_total,
                 "n_spurious": report.n_spurious,
-                "intersections": [
-                    {"position": pos, "z": item.z, "spurious": item.spurious}
-                    for pos, item in enumerate(report.intersections, start=1)
-                ],
+                "intersections": Table(("position", "z", "spurious"), rows),
             },
         )
 
@@ -261,10 +255,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
         return OutputDocument(
             command="curves",
             inputs=inputs,
-            results={
-                "kind": kind.value,
-                "points": [{"z": z, "value": value} for z, value in samples],
-            },
+            results={"kind": kind.value, "points": Table(("z", "value"), samples)},
         )
 
     raise ValueError(f"unknown command {args.cmd!r}")  # unreachable

@@ -6,7 +6,10 @@ significant digits so the decimal text round-trips to the same binary
 value.  One function writes a document value as JSON text, and its
 scalar cases (null, booleans, ints and floats) are also the CSV cells, so
 JSON and CSV renderings of one document agree digit for digit by
-construction.  Serialization is deterministic: same document, same bytes.
+construction.  A command's rows travel as a :class:`Table`, a header and
+row tuples: JSON writes it as a list of objects, CSV writes it as its
+table, and a document without one writes its results as one CSV row.
+Serialization is deterministic: same document, same bytes.
 
 The plot-ready curves are evaluated a grid at a time, the rewritten
 right-hand sides z0 g(z) from the table of :mod:`semiwell.variants`, so no
@@ -33,11 +36,18 @@ _POLE_BAND = 1e-6
 _DOCUMENT_FIELDS = "command inputs results diagnostics schema_version"
 
 
+class Table(namedtuple("Table", "header rows")):
+    """A command's rows: header, the column names, and rows, cell tuples in header order."""
+
+    __slots__ = ()
+
+
 class OutputDocument(namedtuple("OutputDocument", _DOCUMENT_FIELDS)):
     """One CLI result: envelope fields plus per-command payload.
 
     inputs, results and diagnostics are dicts; diagnostics defaults to a
-    new empty one.
+    new empty one.  A results value may be a :class:`Table`, the rows of
+    the command.
     """
 
     __slots__ = ()
@@ -100,29 +110,25 @@ def _json_text(value: object) -> str:
     if isinstance(value, dict):
         items = [f"{_json_text(str(k))}: {_json_text(v)}" for k, v in value.items()]
         return "{" + ", ".join(items) + "}"
+    if isinstance(value, Table):
+        # a list of objects, each key's text built once per table
+        keys = [_json_text(k) + ": " for k in value.header]
+        rows = [", ".join([k + _json_text(v) for k, v in zip(keys, row)]) for row in value.rows]
+        return "[" + ", ".join(["{" + row + "}" for row in rows]) + "]"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join([_json_text(v) for v in value]) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _csv_table(doc: OutputDocument) -> tuple[list[str], list[list[object]]]:
-    r = doc.results
-    if doc.command == "count":
-        return ["count"], [[r["count"]]]
-    if doc.command == "solve":
-        header = ["m", "z", "z_tilde", "energy_ratio", "residual", "newton_iters"]
-        return header, [[row[h] for h in header] for row in r["roots"]]
-    if doc.command == "exact":
-        # the results are the fields of ExactSolutionRecord, in order
-        return list(r), [list(r.values())]
-    if doc.command == "variants":
-        header = ["position", "z", "spurious"]
-        return header, [[row[h] for h in header] for row in r["intersections"]]
-    if doc.command == "wavefn":
-        return ["x", "psi"], [[p["x"], p["psi"]] for p in r["points"]]
-    if doc.command == "curves":
-        return ["z", "value"], [[p["z"], p["value"]] for p in r["points"]]
-    raise ValueError(f"no CSV table defined for command {doc.command!r}")
+def _csv_table(doc: OutputDocument) -> Table:
+    # the document's table, or else its scalar results as one row
+    values = doc.results.values()
+    for value in values:
+        if isinstance(value, Table):
+            return value
+    if any(isinstance(v, (list, tuple, dict)) for v in values):
+        raise ValueError(f"no CSV table defined for command {doc.command!r}")
+    return Table(tuple(doc.results), [tuple(values)])
 
 
 def serialize(doc: OutputDocument, fmt: str) -> bytes:

@@ -402,11 +402,13 @@ GOLDEN_STDOUT = {
     "count --z0 15": "a1e958da1529bdcb2ec16c27b44b0b6c66584e7a7dbb3304233aef832d23b0a7",
     "solve --z0 25": "1a96befe140eec0f69d659616303c81beadfe2aa0a71f7ea494339ed5ddea49b",
     "solve --z0 25 --format csv": "f63f9db52d6318679d146951914edb7f735cd3701f071abe3cc45b83be8e67a0",
+    "solve --z0 1.0": "88593d9164b980554a03dd577ab088ace0646a75ac91efe57efbe2a4210a00fb",
     "wavefn --z0 15 --state 2 --samples 500": "a9a245c6185a2dd61bf32ba30d64b35c17fe9ad6308ac477921e50939871cf05",
     "variants --kind sin --z0 25": "9fdb1099ad47ce3f271f22b50c0d3ec4ff7b1f4fadbac4366e4daddba4e5621c",
     "variants --kind abs-sin --z0 25": "9b20d31d5563d26223eb6f37f52642e90979eb38f0d9abfbc557ea5d822ec62c",
     "variants --kind neg-sin --z0 25": "536ae3d949a9bfbfacba589b40ebcfd065fbb3e09e5592027f94259a83be243d",
     "variants --kind correct --z0 25": "03adb7f73c99ca0b8764a70e50d7b06274117cc543c719b4f19a7a5208d8560c",
+    "variants --kind neg-sin --z0 1.0": "7b301c353aef337bd159f85baeecef002ea897a0820ea094c9b7a8ef0b5e0993",
     "curves --kind circle --z0 15": "1dd96ecb19a69b9c6bb7c9d2bc664417e86283bfece615524571f0e3d460c99f",
     "curves --kind cot --z0 15": "50f49fb36d77677009284d677c38ed0c0ec9ec4f50241da681079b82a86f154d",
     "curves --kind sin --z0 15": "9cf8492652df9fe522c1717136ff9e54de2f6c4b87854fec8cdcc3906197c3ef",

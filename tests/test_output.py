@@ -24,7 +24,7 @@ from semiwell import (
     serialize,
 )
 from semiwell.cli import _dispatch, build_parser
-from semiwell.output import _csv_table, _json_text
+from semiwell.output import Table, _csv_table, _json_text
 
 
 def sample_doc() -> OutputDocument:
@@ -33,16 +33,10 @@ def sample_doc() -> OutputDocument:
         inputs={"z0": 15.0, "tol": 1e-12, "max_iter": 50},
         results={
             "count": 1,
-            "roots": [
-                {
-                    "m": 1,
-                    "z": 2.9440408044848854,
-                    "z_tilde": 14.708250193055869,
-                    "energy_ratio": 0.03852167225987626,
-                    "residual": -1.8e-15,
-                    "newton_iters": 5,
-                }
-            ],
+            "roots": Table(
+                ("m", "z", "z_tilde", "energy_ratio", "residual", "newton_iters"),
+                [(1, 2.9440408044848854, 14.708250193055869, 0.03852167225987626, -1.8e-15, 5)],
+            ),
         },
         diagnostics={"newton_iters_total": 5},
     )
@@ -64,7 +58,11 @@ def test_json_is_parseable_and_exact():
     doc = sample_doc()
     payload = serialize(doc, "json")
     parsed = json.loads(payload.decode("utf-8"))
-    assert parsed == doc.to_dict()
+    # the roots table reads back as one object per row
+    want = doc.to_dict()
+    roots = want["results"]["roots"]
+    want["results"] = {**want["results"], "roots": [dict(zip(roots.header, r)) for r in roots.rows]}
+    assert parsed == want
     # envelope order is fixed
     assert list(parsed) == ["schema_version", "command", "inputs", "results", "diagnostics"]
     assert parsed["schema_version"] == "1"
@@ -135,6 +133,19 @@ def test_csv_is_byte_for_byte_the_csv_module_table(argv):
     args = parser.parse_args(argv.split())
     doc = _dispatch(parser, args)
     assert serialize(doc, "csv") == csv_writer_bytes(doc)
+    # the rows reach the writer as a Table, never as a list of dicts
+    assert not any(isinstance(v, (list, dict)) for v in doc.results.values())
+    # one table feeds both formats: each JSON row object has the CSV header
+    # as its keys and the CSV cells as its values' text; a document without a
+    # table writes its results object as the one row
+    results = json.loads(serialize(doc, "json"))["results"]
+    header, *rows = csv.reader(io.StringIO(serialize(doc, "csv").decode()))
+    tables = [v for v in results.values() if isinstance(v, list)]
+    objects = tables[0] if tables else [results]
+    assert len(objects) == len(rows)
+    for obj, row in zip(objects, rows):
+        assert list(obj) == header
+        assert [_json_text(v) for v in obj.values()] == row
 
 
 def test_exact_csv_columns_are_the_record_fields():
@@ -162,7 +173,7 @@ def test_variant_doc_booleans():
             "kind": "sin",
             "n_total": 1,
             "n_spurious": 1,
-            "intersections": [{"position": 1, "z": 6.75, "spurious": True}],
+            "intersections": Table(("position", "z", "spurious"), [(1, 6.75, True)]),
         },
     )
     assert json.loads(serialize(doc, "json"))["results"]["intersections"][0]["spurious"] is True
@@ -223,6 +234,16 @@ def test_edge_document_bytes_are_frozen():
     )
     # the standard library reads back what it would write, 7 as the key "7"
     assert json.loads(payload) == json.loads(json.dumps(edge_doc().to_dict()))
+
+
+def test_a_list_without_a_table_has_no_csv():
+    # a document's rows are a Table; a list or dict among its results, with
+    # no Table, is no CSV table
+    with pytest.raises(ValueError, match="no CSV table defined for command 'edge'"):
+        serialize(edge_doc(), "csv")
+    rows = OutputDocument(command="solve", inputs={}, results={"roots": [{"m": 1}]})
+    with pytest.raises(ValueError, match="no CSV table defined for command 'solve'"):
+        serialize(rows, "csv")
 
 
 # SHA-256 of the CSV of each command's table, empty ones included, frozen
