@@ -17,13 +17,7 @@ from .dimensionless import (
 )
 from .errors import ConvergenceError, DomainError
 from .exact import ExactSolutionRecord, cross_validate, exact_solution
-from .output import (
-    CurveKind,
-    OutputDocument,
-    emit_curves,
-    format_float,
-    serialize,
-)
+from .output import CurveKind, OutputDocument, emit_curves, format_float, serialize
 from .solver import (
     NewtonTrace,
     SolveConfig,

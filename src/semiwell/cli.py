@@ -29,13 +29,7 @@ from .errors import ConvergenceError, DomainError
 from .exact import exact_solution
 from .output import CurveKind, OutputDocument, Table, emit_curves, serialize
 from .solver import SolveConfig, count_bound_states, newton_solve, solve_spectrum
-from .units import (
-    ELECTRON_MASS_SI,
-    EV_SI,
-    NM_SI,
-    PhysicalWell,
-    strength_from_physical,
-)
+from .units import ELECTRON_MASS_SI, EV_SI, NM_SI, PhysicalWell, strength_from_physical
 from .variants import VariantKind, enumerate_intersections
 from .wavefunction import build_wavefunction, evaluate, probability_inside
 
@@ -95,9 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wavefn", help="sampled normalized eigenfunction")
     _add_well_arguments(p)
     _add_solver_arguments(p)
-    p.add_argument(
-        "--state", type=int, required=True, metavar="M", help="state index, 1-based"
-    )
+    p.add_argument("--state", type=int, required=True, metavar="M", help="state index, 1-based")
     p.add_argument("--samples", type=int, default=1000)
     _add_output_arguments(p)
 

@@ -98,10 +98,10 @@ def _band_frames(bands: Iterable[int], v: float) -> Iterator[tuple]:
     # relative: (2m - 1) math.pi is its rounded product plus the exact error
     # (Dekker's two-product), which (2m - 1)(pi - math.pi) joins.  Also
     # eps = z0 - e_m, 0 at the threshold: z0 is hi or the float past hi
-    # toward e_m, so that no float lies strictly between z0 and e_m and no
-    # root z can satisfy e_m < z < z0.  Past band 2^52, where 2m - 1 has no
-    # exact float, no band can be placed.
-    ph, pl = _PI_SPLIT
+    # toward e_m (tested only within 2 ulps of hi), so that no float lies
+    # strictly between z0 and e_m and no root z satisfies e_m < z < z0.  Past
+    # band 2^52, where 2m - 1 has no exact float, no band can be placed.
+    (ph, pl), near = _PI_SPLIT, 2.0 * math.ulp(v)
     for m in bands:
         if m > 2**52:
             raise DomainError(f"band m={m} is past float64's band resolution: m > 2^52")
@@ -113,8 +113,11 @@ def _band_frames(bands: Iterable[int], v: float) -> Iterator[tuple]:
         err = ((xh * ph - p) + xh * pl + xl * ph) + xl * pl + x * _PI_LO
         hi = p + err
         e_hi, e_lo = 0.5 * hi, 0.5 * (err - (hi - p))
-        at = v == e_hi or v == math.nextafter(e_hi, math.copysign(math.inf, e_lo))
-        yield m, e_hi, e_lo, 0.0 if at else (v - e_hi) - e_lo
+        d = v - e_hi
+        at = d == 0.0 or (
+            abs(d) <= near and v == math.nextafter(e_hi, math.copysign(math.inf, e_lo))
+        )
+        yield m, e_hi, e_lo, 0.0 if at else d - e_lo
 
 
 def _band_top(e_hi: float, e_lo: float) -> tuple[float, float]:

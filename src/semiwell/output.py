@@ -11,10 +11,11 @@ row tuples: JSON writes it as a list of objects, CSV writes it as its
 table, and a document without one writes its results as one CSV row.
 Serialization is deterministic: same document, same bytes.
 
-The plot-ready curves are evaluated a grid at a time, the rewritten
-right-hand sides z0 g(z) from the table of :mod:`semiwell.variants`, so no
-sample costs a Python call.  The curves of one well share one grid and its
-sines: the last grid is kept.
+The plot-ready curves are evaluated a grid at a time, so no sample costs
+a Python call.  The curves of one well share one picture, the last one
+kept: its grid, sines and cosines, and the points of y = +z0 sin z and
+y = -z0 sin z, from which the sign rule of :mod:`semiwell.variants` picks
+each rewritten right-hand side z0 g(z) without computing a height.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import namedtuple
 
 from .dimensionless import WellStrength, _check_int, _circle_scale, strength_value
 from .errors import DomainError
-from .variants import _G, VariantKind
+from .variants import _G, VariantKind, _Picture
 
 SCHEMA_VERSION = "1"
 
@@ -161,22 +162,12 @@ class CurveKind(enum.Enum):
     CORRECT = "correct"
 
 
-def _curve_points(kind: object, v: float, grid: tuple, sines: tuple, band: float) -> list:
-    # (z, height) of the named curve over grid in [0, v] and its sines, v a
-    # validated z0; cot drops |sin z| < band, and |z cot z| <= z0 / band may overflow
-    if not isinstance(kind, (CurveKind, VariantKind)):
-        raise DomainError(f"kind must be a CurveKind or VariantKind, got {kind!r}")
-    if kind is CurveKind.CIRCLE:
-        s = _circle_scale(v)
-        u = v * s
-        return [(z, math.sqrt((u - z * s) * (u + z * s)) / s) for z in grid]
-    if kind is not CurveKind.COT:
-        return list(zip(grid, _G[VariantKind(kind.value)](v, sines, grid)))
-    cos = math.cos
-    points = [(z, -z * (cos(z) / s)) for z, s in zip(grid, sines) if not abs(s) < band]
-    if math.isinf(v / band) and any(math.isinf(y) for _, y in points):
-        raise DomainError(f"the cot curve -z cot(z) overflows float64 for z0={v!r}")
-    return points
+@functools.lru_cache(maxsize=1)
+def _grid(v: float, samples: int) -> _Picture:
+    # the picture of a validated z0 v over its grid in [0, v]; v * (i / n)
+    # never leaves [0, v], so no sample is range-checked
+    n = samples - 1
+    return _Picture(v, tuple([v * (i / n) for i in range(samples)]))
 
 
 def emit_curves(
@@ -195,12 +186,18 @@ def emit_curves(
     """
     v = strength_value(z0)
     _check_int("samples", samples, 2)
-    return _curve_points(kind, v, *_grid(v, samples), _POLE_BAND)
-
-
-@functools.lru_cache(maxsize=1)
-def _grid(v: float, samples: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # the grid over [0, v] and its sines; v * (i / n) never leaves [0, v], so
-    # no sample is range-checked
-    grid = tuple([v * (i / (samples - 1)) for i in range(samples)])
-    return grid, tuple(map(math.sin, grid))
+    if not isinstance(kind, (CurveKind, VariantKind)):
+        raise DomainError(f"kind must be a CurveKind or VariantKind, got {kind!r}")
+    p = _grid(v, samples)
+    if kind is CurveKind.CIRCLE:
+        s = _circle_scale(v)
+        u = v * s
+        return [(z, math.sqrt((u - z * s) * (u + z * s)) / s) for z in p.grid]
+    if kind is not CurveKind.COT:
+        return _G[VariantKind(kind.value)](p)
+    # |z cot z| <= z0 / _POLE_BAND on the kept samples, which may overflow
+    band, grid = _POLE_BAND, p.grid
+    points = [(z, -z * (c / s)) for z, s, c in zip(grid, p.sines, p.cosines) if abs(s) >= band]
+    if math.isinf(v / band) and any(math.isinf(y) for _, y in points):
+        raise DomainError(f"the cot curve -z cot(z) overflows float64 for z0={v!r}")
+    return points

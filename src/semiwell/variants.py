@@ -17,6 +17,10 @@ crossings solve the rewritten equation but not the original one, and
 SIN-type errors only when no genuine root is also lost, which is what
 :func:`filtered_equivalence` checks.
 
+On each half-pi cell every g above is +sin z or -sin z, picked by the
+sign of sin z or of cos z: ``_G`` holds that sign rule, and the crossings,
+the residual and the curves of :mod:`semiwell.output` all read it.
+
 The crossings are counted exactly, in one scan per well that every kind
 reads.  On each half-pi cell [k pi/2, (k + 1) pi/2] every g above is
 either +|sin z| or -|sin z|, so a kind keeps the crossings of y = z0 |sin z|
@@ -53,15 +57,29 @@ class VariantKind(enum.Enum):
     CORRECT = "correct"
 
 
-# z0 g(z) of each rewriting z = z0 g(z) over a grid, from z0, the sines of
-# the grid and its points; the curves of semiwell.output read it too
+class _Picture:
+    # a grid of z for a z0 v and, each taken when first read, the grid's sines
+    # and cosines and its points (z, z0 sin z) and (z, -z0 sin z)
+    def __init__(self, v: float, grid: tuple) -> None:
+        self.v, self.grid = v, grid
+
+    sines = functools.cached_property(lambda p: tuple(map(math.sin, p.grid)))
+    cosines = functools.cached_property(lambda p: tuple(map(math.cos, p.grid)))
+    plus = functools.cached_property(lambda p: tuple(zip(p.grid, [p.v * s for s in p.sines])))
+    minus = functools.cached_property(lambda p: tuple(zip(p.grid, [p.v * -s for s in p.sines])))
+
+
+# the sign rule of each rewriting (see the module docstring): each point (z, z0 g(z))
+# is the picture's plus or minus point, as v (-s) = -(v s) and v |s| = |v s|, v > 0
 _G = {
-    VariantKind.SIN: lambda v, sines, zs: [v * s for s in sines],
-    VariantKind.ABS_SIN: lambda v, sines, zs: [v * abs(s) for s in sines],
-    VariantKind.NEG_SIN: lambda v, sines, zs: [v * -s for s in sines],
+    VariantKind.SIN: lambda p: list(p.plus),
+    VariantKind.ABS_SIN: lambda p: [
+        mi if s < 0.0 else pl for pl, mi, s in zip(p.plus, p.minus, p.sines)
+    ],
+    VariantKind.NEG_SIN: lambda p: list(p.minus),
     # -sin(z) cos(z) / |cos(z)|: cos(z) has no float zero
-    VariantKind.CORRECT: lambda v, sines, zs: [
-        v * s if c < 0.0 else v * -s for s, c in zip(sines, map(math.cos, zs))
+    VariantKind.CORRECT: lambda p: [
+        pl if c < 0.0 else mi for pl, mi, c in zip(p.plus, p.minus, p.cosines)
     ],
 }
 
@@ -69,12 +87,11 @@ _G = {
 # whether g = +|sin z| on band m, at m % 2, and on the cell below it, at 2 + m % 2:
 # g has period 2 pi, so they test as band 2 - m % 2 and its cell, at their middles
 _PROBES = [1.75 * math.pi, 0.75 * math.pi, 1.25 * math.pi, 0.25 * math.pi]
-_SINES = list(map(math.sin, _PROBES))
-_KEEP = {kind: [y > 0.0 for y in g(1.0, _SINES, _PROBES)] for kind, g in _G.items()}
+_KEEP = {kind: [y > 0.0 for _, y in g(_Picture(1.0, _PROBES))] for kind, g in _G.items()}
 
 
 def _rewriting(kind: VariantKind) -> tuple:
-    # the z0 g(z) of _G and the _KEEP flags of a kind checked here
+    # the sign rule of _G and the _KEEP flags of a kind checked here
     if not isinstance(kind, VariantKind):
         raise DomainError(f"kind must be a VariantKind, got {kind!r}")
     return _G[kind], _KEEP[kind]
@@ -88,7 +105,7 @@ def variant_residual(kind: VariantKind, z: float, z0: WellStrength | float) -> f
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"z must be finite and positive, got {z!r}")
     g, _ = _rewriting(kind)
-    return z - g(v, [math.sin(z)], [z])[0]
+    return z - g(_Picture(v, (z,)))[0][1]
 
 
 class Intersection(namedtuple("Intersection", "z spurious")):
@@ -112,11 +129,7 @@ class VariantReport(namedtuple("VariantReport", "kind intersections")):
 
     def spurious_positions(self) -> list[int]:
         """1-based positions of the spurious crossings, in increasing z."""
-        return [
-            pos
-            for pos, item in enumerate(self.intersections, start=1)
-            if item.spurious
-        ]
+        return [pos for pos, i in enumerate(self.intersections, start=1) if i.spurious]
 
     def genuine_roots(self) -> list[float]:
         return [i.z for i in self.intersections if not i.spurious]
@@ -160,9 +173,9 @@ def _crossings(v: float) -> tuple[tuple[Intersection, int], ...]:
         ([f for f in cells if f[3] < 0.0], 0.0),
         ([f for f in frames if f[3] > 0.0], None),
     )
-    config = SolveConfig()
+    config, new = SolveConfig(), tuple.__new__
     found = sorted(
-        (Intersection(z, x is not None), 2 * (x is not None) + m % 2)
+        (new(Intersection, (z, x is not None)), 2 * (x is not None) + m % 2)
         for run, x in runs
         for m, z, _ in _band_roots(v, run, config, start=x)
     )

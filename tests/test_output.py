@@ -9,6 +9,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import semiwell.output
 from semiwell import (
@@ -436,6 +438,53 @@ class TestCurves:
                 assert hashlib.sha256(text.encode()).hexdigest() == digests[kind.name]
             info = semiwell.output._grid.cache_info()
             assert info.currsize == 1 and info.hits == 5 * info.misses
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        z0=st.floats(min_value=-3.0, max_value=300.0).map(lambda e: 10.0**e),
+        samples=st.integers(min_value=2, max_value=64),
+        kinds=st.permutations(list(CurveKind)),
+    )
+    @example(z0=0.5, samples=64, kinds=list(CurveKind))
+    @example(z0=2.0**500, samples=64, kinds=list(reversed(CurveKind)))
+    @example(z0=math.nextafter(2.0**500, math.inf), samples=64, kinds=list(CurveKind))
+    def test_every_curve_is_its_textbook_formula_in_any_order(self, z0, samples, kinds):
+        # z0 drawn by its log over [1e-3, 1e300], the kinds asked in any order
+        # of one well, so that any kind fills the kept picture first; the
+        # heights compare by .hex(), so the signed zeros at z = 0 count too
+        def height(kind, z):
+            if kind is CurveKind.CIRCLE:
+                # sqrt((z0 - z)(z0 + z)) with z0 and z scaled by one power of
+                # two into [0.5, 1): no bit changes, and the product stays finite
+                e = math.frexp(z0)[1]
+                a, b = math.ldexp(z0, -e), math.ldexp(z, -e)
+                return math.ldexp(math.sqrt((a - b) * (a + b)), e)
+            return {
+                CurveKind.COT: lambda: -z * (math.cos(z) / math.sin(z)),
+                CurveKind.SIN: lambda: z0 * math.sin(z),
+                CurveKind.ABS_SIN: lambda: z0 * abs(math.sin(z)),
+                CurveKind.NEG_SIN: lambda: z0 * -math.sin(z),
+                CurveKind.CORRECT: lambda: z0 * (-math.sin(z) * math.copysign(1.0, math.cos(z))),
+            }[kind]()
+
+        grid = [z0 * (i / (samples - 1)) for i in range(samples)]
+        for kind in kinds:
+            zs = [z for z in grid if kind is not CurveKind.COT or abs(math.sin(z)) >= 1e-6]
+            want = [(z.hex(), height(kind, z).hex()) for z in zs]
+            got = [(z.hex(), y.hex()) for z, y in emit_curves(z0, kind, samples)]
+            assert got == want, kind
+
+    @pytest.mark.parametrize("z0", [0.5, 15.0, 3 * math.pi, 2.0**501])
+    def test_the_rewritten_curves_pick_points_of_two_kept_sets(self, z0):
+        # every ABS_SIN and CORRECT point is the SIN or the NEG_SIN point at
+        # its index, the very tuple: no rewritten curve builds a point of its own
+        sin = emit_curves(z0, CurveKind.SIN, 64)
+        neg = emit_curves(z0, CurveKind.NEG_SIN, 64)
+        for kind in (CurveKind.ABS_SIN, CurveKind.CORRECT):
+            for i, point in enumerate(emit_curves(z0, kind, 64)):
+                assert point is sin[i] or point is neg[i], (kind, i)
+        assert all(a is b for a, b in zip(emit_curves(z0, CurveKind.SIN, 64), sin))
+        assert all(a is b for a, b in zip(emit_curves(z0, CurveKind.NEG_SIN, 64), neg))
 
     def test_a_returned_curve_shares_no_mutable_state(self):
         first = emit_curves(15.0, CurveKind.SIN, samples=11)
