@@ -415,6 +415,18 @@ GOLDEN_STDOUT = {
     "curves --kind abs-sin --z0 15": "12c317db175c6e6517e3f8df650d700a5f974a6cf86c1cb6e957dbdd7156067e",
     "curves --kind neg-sin --z0 15": "fcf0cda2370dbac3dc739a7fc6f1570259a8f4c52311ea8a4d5c9a9e2e131d19",
     "curves --kind correct --z0 15": "ab22f54093da130c5c2a218672b7e93a90bb49ea2ae2a664074de7fab6c9640d",
+    "exact --n 3": "09fa3a52eddf5f8ca234a221df25e98cd74336238acf4bf2a1a59d2a2a345b1c",
+    # the physical triple in both unit systems, the same electron well in
+    # each; wavefn's width 2 reaches its a and x_max
+    "count --mass 1 --width 1 --depth 1 --units ev-nm": "1368f2373f82341426d592f8bcbd97fd2880e3461a5d5ece1ae979108f1173a0",
+    "count --mass 9.1093837015e-31 --width 1e-09 --depth 1.602176634e-19 --units si": "0ce5c4e540da0f3435b05bb365b74e2898c3d22a598ebd2e6fbb26db3b6529ab",
+    "solve --mass 1 --width 1 --depth 1 --units ev-nm": "d2665ecaa54324aedf7ebeaa4067027a5291ab9b1a80fbf5cdd76bec2861851a",
+    "solve --mass 9.1093837015e-31 --width 1e-09 --depth 1.602176634e-19 --units si": "375a36015d12e03ecb722d57c010fe78697de40b205f102e6ad0b1d7f5e119e8",
+    "wavefn --mass 1 --width 2 --depth 1 --units ev-nm --state 2 --samples 50": "55fdc605bf54ea05a599f071238c8749ca3fabaeb56686dcbcfe31dbbafd6822",
+    "wavefn --mass 9.1093837015e-31 --width 2e-09 --depth 1.602176634e-19 --units si --state 2 --samples 50": "a31aba20e437337ce8c6a47b1ccf95cd823fc056f9501b0a856b3ab4b6cfcdef",
+    "wavefn --z0 15 --state 2 --samples 50 --format csv": "6ad8ca9cdc96a94f0d11bf2009c23f4eed4a5c8221d72f79c862dac0fd494633",
+    "variants --kind abs-sin --z0 25 --format csv": "4e7a602e683299ed826690bda8656e05522972048116e185cc7d1ecdfdfd4f4f",
+    "curves --kind correct --z0 15 --samples 64 --format csv": "280a798c3ee5f4d9463ff1e5e0233800be55f7d8748de24f0baae87e0141dde9",
 }
 
 
@@ -423,6 +435,122 @@ def test_stdout_matches_golden_digest(capsys, command):
     code, out, err = invoke(capsys, *command.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT[command]
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, command):
+    target = tmp_path / "doc"
+    code, out, err = invoke(capsys, *command.split(), "--output", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+_USAGE = "usage: semiwell [-h] {count,solve,exact,wavefn,variants,curves} ...\n"
+
+# exit status and whole stderr of each refusal made after parsing, at a
+# terminal width of 80 columns; where an invocation has two faults, the
+# message names the one checked first
+FROZEN_ERRORS = {
+    "count --z0 15 --mass 1": (
+        2, _USAGE + "semiwell: error: --z0 conflicts with --mass/--width/--depth\n"
+    ),
+    "count --z0 15 --mass 1 --units si": (
+        2, _USAGE + "semiwell: error: --z0 conflicts with --mass/--width/--depth\n"
+    ),
+    "count --z0 15 --units ev-nm": (
+        2, _USAGE + "semiwell: error: --units applies only to --mass/--width/--depth\n"
+    ),
+    "count": (2, _USAGE + "semiwell: error: provide --z0, or all of --mass --width --depth\n"),
+    "count --mass 1 --width 1": (
+        2, _USAGE + "semiwell: error: provide --z0, or all of --mass --width --depth\n"
+    ),
+    "solve --z0 -3": (1, "error: well strength must be finite and positive, got -3.0\n"),
+    "solve --z0 0": (1, "error: well strength must be finite and positive, got 0.0\n"),
+    "solve --z0 nan": (1, "error: well strength must be finite and positive, got nan\n"),
+    "solve --z0 inf": (1, "error: well strength must be finite and positive, got inf\n"),
+    "count --mass -1 --width 1 --depth 1": (
+        1, "error: mass must be finite and positive, got -1.0\n"
+    ),
+    "count --mass 1 --width 0 --depth 1 --units ev-nm": (
+        1, "error: width_a must be finite and positive, got 0.0\n"
+    ),
+    "solve --z0 1e6": (
+        1, "error: well holds 318310 states, above the enumeration cap (100000); "
+        "use the count command\n"
+    ),
+    "variants --kind abs-sin --z0 1e9": (
+        1, "error: well holds 318309886 states, above the enumeration cap (100000); "
+        "use the count command\n"
+    ),
+    "solve --z0 15 --tol -1": (1, "error: root_tol must be positive, got -1.0\n"),
+    "solve --z0 15 --max-iter 0": (
+        1, "error: max_newton_iters must be an int >= 1, got 0\n"
+    ),
+    "solve --z0 -1 --tol -1": (
+        1, "error: well strength must be finite and positive, got -1.0\n"
+    ),
+    "solve --z0 15 --tol nan --max-iter 0": (1, "error: root_tol must be positive, got nan\n"),
+    "wavefn --z0 15 --state 0": (1, "error: interval index must be an int >= 1, got 0\n"),
+    "wavefn --z0 15 --state 6": (
+        1, "error: band m=6 holds no root: z0=15.0 supports 5 bound state(s)\n"
+    ),
+    "wavefn --z0 15 --state 1 --samples 1": (1, "error: need at least 2 samples, got 1\n"),
+    "wavefn --z0 15 --state 0 --samples 1": (1, "error: need at least 2 samples, got 1\n"),
+    "wavefn --z0 15 --state 2 --tol 0 --samples 1": (
+        1, "error: root_tol must be positive, got 0.0\n"
+    ),
+    "exact --n -1": (1, "error: family index must be an int >= 0, got -1\n"),
+    "exact --n " + str(6 * 10**152): (
+        1, "error: family index must be at most 5.3348e152: V0 overflows\n"
+    ),
+    "solve --mass 1e-290 --width 1e-290 --depth 1e-290 --units ev-nm": (
+        1, "error: well parameters underflow the strength z0; check units\n"
+    ),
+    "solve --z0 5 --tol 10": (
+        1, "error: Newton stopped at z=5.065147177121838, outside the roots of band m=2 "
+        "for z0=5.0: root_tol=10.0 is too loose\n"
+    ),
+    "solve --z0 15 --max-iter 1": (
+        1, "error: no convergence after 1 iterations for m=1, z0=15.0\n"
+    ),
+    "wavefn --z0 1e17 --state 31830988618379068": (
+        1, "error: band m=31830988618379068 is past float64's band resolution: m > 2^52\n"
+    ),
+    "curves --kind cot --z0 1e308": (
+        1, "error: the cot curve -z cot(z) overflows float64 for z0=1e+308\n"
+    ),
+    "curves --kind circle --z0 15 --samples 1": (
+        1, "error: samples must be an int >= 2, got 1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(FROZEN_ERRORS))
+def test_refusal_is_frozen(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps to the terminal
+    code, stderr = FROZEN_ERRORS[command]
+    assert invoke(capsys, *command.split()) == (code, "", stderr)
+
+
+# SHA-256 of the --help text of semiwell and of each subcommand, at a
+# terminal width of 80 columns
+HELP_DIGESTS = {
+    "": "b184e0abc533f0cd14603b2e63e0114e615f50a75da91e47fccdc1187dda4a18",
+    "count": "2d3b46e57d168ba1e3c248fdfe313b777581fec86c0082b0186c0aacc9300ff4",
+    "solve": "85c39e53f5fd97cc2d1b9cd37688af3acddde09a95d71b0a773ca88c3083d738",
+    "exact": "1eef8d6c3d5518e80bef0b405531ea16cced38ac8fb198da53bd7e6347579db3",
+    "wavefn": "98dac8b1cee3621009f9bf8f458caa791456a89b612056bdfe71f6e3e88d67de",
+    "variants": "b051ab5ae49c38d8ff4a60a37042e059251cea6541d427fb0b71e1b6d53b4f1d",
+    "curves": "d5d99c76ddd05fe76645d84d11d2759cc7aff12f215acbd63b6f4b714431ada8",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS))
+def test_help_text_is_frozen(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(capsys, *command.split(), "--help")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_DIGESTS[command]
 
 
 def test_solve_counts_the_states_once(capsys, monkeypatch):
