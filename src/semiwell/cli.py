@@ -16,6 +16,10 @@ byte-identical output.
 With --z0 the well width is the unit of length (a = 1).  The physical
 triple --mass --width --depth is interpreted per --units: plain SI, or
 ev-nm (electron masses, nanometers, electronvolts).
+
+Every document echoes its inputs in one order: the well (z0, or mass,
+width, depth, units and the derived z0), then the command's own arguments
+in their declaration order, then tol and max_iter for solve and wavefn.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ from .wavefunction import build_wavefunction, evaluate, probability_inside
 _MAX_ENUMERATED_STATES = 100_000
 
 
+# the factors that take --mass --width --depth to SI, per --units
+_UNIT_SCALES = {"si": (1.0, 1.0, 1.0), "ev-nm": (ELECTRON_MASS_SI, NM_SI, EV_SI)}
+
+
 def _add_well_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("well parameters")
     group.add_argument("--z0", type=float, help="dimensionless well strength")
@@ -46,7 +54,7 @@ def _add_well_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--depth", type=float, help="well depth V0")
     group.add_argument(
         "--units",
-        choices=["si", "ev-nm"],
+        choices=list(_UNIT_SCALES),
         default=None,
         help="units of the physical triple: SI, or electron masses / nm / eV",
     )
@@ -64,6 +72,16 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--output", metavar="PATH", help="write here instead of stdout")
+
+
+# each command's own arguments, echoed after the well in declaration order
+# (count and solve have none)
+_ECHOED = {
+    "exact": ("n",),
+    "wavefn": ("state", "samples"),
+    "variants": ("kind",),
+    "curves": ("kind", "samples"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,37 +139,25 @@ def _resolve_well(
 ) -> tuple[WellStrength, float, dict[str, object]]:
     """Well strength, well width, and the echoed inputs for the document."""
     physical = [args.mass, args.width, args.depth]
-    has_physical = any(p is not None for p in physical)
-    if args.z0 is not None and has_physical:
-        parser.error("--z0 conflicts with --mass/--width/--depth")
     if args.z0 is not None:
+        if any(p is not None for p in physical):
+            parser.error("--z0 conflicts with --mass/--width/--depth")
         if args.units is not None:
             parser.error("--units applies only to --mass/--width/--depth")
         return WellStrength(args.z0), 1.0, {"z0": args.z0}
-    if not all(p is not None for p in physical):
+    if None in physical:
         parser.error("provide --z0, or all of --mass --width --depth")
     units = args.units or "si"
-    if units == "ev-nm":
-        well = PhysicalWell(
-            mass=args.mass * ELECTRON_MASS_SI,
-            width_a=args.width * NM_SI,
-            depth_v0=args.depth * EV_SI,
-        )
-    else:
-        well = PhysicalWell(mass=args.mass, width_a=args.width, depth_v0=args.depth)
+    mass, width, depth = _UNIT_SCALES[units]
+    well = PhysicalWell(args.mass * mass, args.width * width, args.depth * depth)
     strength = strength_from_physical(well)
-    inputs: dict[str, object] = {
+    return strength, well.width_a, {
         "mass": args.mass,
         "width": args.width,
         "depth": args.depth,
         "units": units,
         "z0": strength.z0,
     }
-    return strength, well.width_a, inputs
-
-
-def _solver_config(args: argparse.Namespace) -> SolveConfig:
-    return SolveConfig(root_tol=args.tol, max_newton_iters=args.max_iter)
 
 
 def _check_enumerable(strength: WellStrength) -> None:
@@ -166,18 +172,19 @@ def _check_enumerable(strength: WellStrength) -> None:
 
 
 def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> OutputDocument:
-    if args.cmd == "count":
-        strength, _, inputs = _resolve_well(parser, args)
-        return OutputDocument(
-            command="count",
-            inputs=inputs,
-            results={"count": count_bound_states(strength)},
-        )
-
-    if args.cmd == "solve":
-        strength, _, inputs = _resolve_well(parser, args)
-        config = _solver_config(args)
+    if args.cmd == "exact":
+        inputs: dict[str, object] = {}
+    else:
+        strength, width, inputs = _resolve_well(parser, args)
+    inputs.update((name, getattr(args, name)) for name in _ECHOED.get(args.cmd, ()))
+    if args.cmd in ("solve", "wavefn"):
+        config = SolveConfig(root_tol=args.tol, max_newton_iters=args.max_iter)
         inputs.update({"tol": config.root_tol, "max_iter": config.max_newton_iters})
+
+    diagnostics: dict[str, object] = {}
+    if args.cmd == "count":
+        results = {"count": count_bound_states(strength)}
+    elif args.cmd == "solve":
         _check_enumerable(strength)
         states, steps = solve_spectrum(strength, config)
         residuals = [residual_exact(s.z, strength) for s in states]
@@ -189,68 +196,35 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
             "max_abs_residual": max(map(abs, residuals), default=0.0),
         }
         results = {"count": len(states), "roots": roots}
-        return OutputDocument(
-            command="solve", inputs=inputs, results=results, diagnostics=diagnostics
-        )
-
-    if args.cmd == "exact":
-        record = exact_solution(args.n)
-        return OutputDocument(
-            command="exact", inputs={"n": args.n}, results=record._asdict()
-        )
-
-    if args.cmd == "wavefn":
-        strength, width, inputs = _resolve_well(parser, args)
-        config = _solver_config(args)
+    elif args.cmd == "exact":
+        results = exact_solution(args.n)._asdict()
+    elif args.cmd == "wavefn":
         if args.samples < 2:
             raise DomainError(f"need at least 2 samples, got {args.samples}")
-        inputs.update({"state": args.state, "samples": args.samples})
-        inputs.update({"tol": config.root_tol, "max_iter": config.max_newton_iters})
         state, _ = newton_solve(args.state, strength, config)
         spec = build_wavefunction(state, strength, a=width)
         x_max = spec.a + 8.0 / spec.k_tilde
         xs = [x_max * (i / (args.samples - 1)) for i in range(args.samples)]
-        return OutputDocument(
-            command="wavefn",
-            inputs=inputs,
-            results={
-                **state._asdict(),
-                **spec._asdict(),
-                "probability_inside": probability_inside(spec),
-                "points": Table(("x", "psi"), [(x, evaluate(spec, x)) for x in xs]),
-            },
-        )
-
-    if args.cmd == "variants":
-        strength, _, inputs = _resolve_well(parser, args)
-        kind = VariantKind(args.kind)
-        inputs["kind"] = kind.value
+        results = {
+            **state._asdict(),
+            **spec._asdict(),
+            "probability_inside": probability_inside(spec),
+            "points": Table(("x", "psi"), [(x, evaluate(spec, x)) for x in xs]),
+        }
+    elif args.cmd == "variants":
         _check_enumerable(strength)
-        report = enumerate_intersections(kind, strength)
+        report = enumerate_intersections(VariantKind(args.kind), strength)
         rows = [(pos, i.z, i.spurious) for pos, i in enumerate(report.intersections, 1)]
-        return OutputDocument(
-            command="variants",
-            inputs=inputs,
-            results={
-                "kind": kind.value,
-                "n_total": report.n_total,
-                "n_spurious": report.n_spurious,
-                "intersections": Table(("position", "z", "spurious"), rows),
-            },
-        )
-
-    if args.cmd == "curves":
-        strength, _, inputs = _resolve_well(parser, args)
-        kind = CurveKind(args.kind)
-        inputs.update({"kind": kind.value, "samples": args.samples})
-        samples = emit_curves(strength, kind, args.samples)
-        return OutputDocument(
-            command="curves",
-            inputs=inputs,
-            results={"kind": kind.value, "points": Table(("z", "value"), samples)},
-        )
-
-    raise ValueError(f"unknown command {args.cmd!r}")  # unreachable
+        results = {
+            "kind": args.kind,
+            "n_total": report.n_total,
+            "n_spurious": report.n_spurious,
+            "intersections": Table(("position", "z", "spurious"), rows),
+        }
+    else:  # curves
+        samples = emit_curves(strength, CurveKind(args.kind), args.samples)
+        results = {"kind": args.kind, "points": Table(("z", "value"), samples)}
+    return OutputDocument(args.cmd, inputs, results, diagnostics)
 
 
 def run(argv: list[str] | None = None) -> int:
