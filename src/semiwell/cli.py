@@ -17,9 +17,10 @@ With --z0 the well width is the unit of length (a = 1).  The physical
 triple --mass --width --depth is interpreted per --units: plain SI, or
 ev-nm (electron masses, nanometers, electronvolts).
 
-Every document echoes its inputs in one order: the well (z0, or mass,
-width, depth, units and the derived z0), then the command's own arguments
-in their declaration order, then tol and max_iter for solve and wavefn.
+Every command is declared once, in _COMMANDS, and every document echoes
+its inputs in one order: the well (z0, or mass, width, depth, units and
+the derived z0), then the command's own arguments in their declaration
+order, then tol and max_iter for solve and wavefn.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import namedtuple
 
-from .dimensionless import BoundState, WellStrength, residual_exact
+from .dimensionless import BoundState, WellStrength, _check_int, residual_exact
 from .errors import ConvergenceError, DomainError
 from .exact import exact_solution
 from .output import CurveKind, OutputDocument, Table, emit_curves, serialize
@@ -46,41 +48,43 @@ _MAX_ENUMERATED_STATES = 100_000
 _UNIT_SCALES = {"si": (1.0, 1.0, 1.0), "ev-nm": (ELECTRON_MASS_SI, NM_SI, EV_SI)}
 
 
-def _add_well_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("well parameters")
-    group.add_argument("--z0", type=float, help="dimensionless well strength")
-    group.add_argument("--mass", type=float, help="particle mass")
-    group.add_argument("--width", type=float, help="well width a")
-    group.add_argument("--depth", type=float, help="well depth V0")
-    group.add_argument(
-        "--units",
-        choices=list(_UNIT_SCALES),
-        default=None,
-        help="units of the physical triple: SI, or electron masses / nm / eV",
-    )
-
-
-def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tol", type=float, default=1e-12, help="root tolerance (default 1e-12)"
-    )
-    parser.add_argument(
-        "--max-iter", type=int, default=50, help="iteration cap (default 50)"
-    )
-
-
-def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--output", metavar="PATH", help="write here instead of stdout")
-
-
-# each command's own arguments, echoed after the well in declaration order
-# (count and solve have none)
-_ECHOED = {
-    "exact": ("n",),
-    "wavefn": ("state", "samples"),
-    "variants": ("kind",),
-    "curves": ("kind", "samples"),
+# every command once: its help, whether it takes the well parameters and
+# the solver settings --tol/--max-iter, and its own arguments (name:
+# add_argument keywords) in declaration order, echoed in that order
+_Command = namedtuple("_Command", "help well solver own", defaults=(True, False, {}))
+_COMMANDS = {
+    "count": _Command("number of bound states"),
+    "solve": _Command("all bound states with diagnostics", solver=True),
+    "exact": _Command(
+        "closed-form solvable well number n",
+        well=False,
+        own={"n": dict(type=int, required=True, help="family index, n >= 0")},
+    ),
+    "wavefn": _Command(
+        "sampled normalized eigenfunction",
+        solver=True,
+        own={
+            "state": dict(type=int, required=True, metavar="M", help="state index, 1-based"),
+            "samples": dict(type=int, default=1000),
+        },
+    ),
+    "variants": _Command(
+        "intersections of a rewritten equation",
+        own={
+            "kind": dict(
+                choices=[k.value for k in VariantKind],
+                required=True,
+                help="which rewriting of the eigenvalue equation",
+            )
+        },
+    ),
+    "curves": _Command(
+        "plot-ready samples of one curve",
+        own={
+            "kind": dict(choices=[k.value for k in CurveKind], required=True),
+            "samples": dict(type=int, default=1000),
+        },
+    ),
 }
 
 
@@ -90,47 +94,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bound states of the semi-infinite square well.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("count", help="number of bound states")
-    _add_well_arguments(p)
-    _add_output_arguments(p)
-
-    p = sub.add_parser("solve", help="all bound states with diagnostics")
-    _add_well_arguments(p)
-    _add_solver_arguments(p)
-    _add_output_arguments(p)
-
-    p = sub.add_parser("exact", help="closed-form solvable well number n")
-    p.add_argument("--n", type=int, required=True, help="family index, n >= 0")
-    _add_output_arguments(p)
-
-    p = sub.add_parser("wavefn", help="sampled normalized eigenfunction")
-    _add_well_arguments(p)
-    _add_solver_arguments(p)
-    p.add_argument("--state", type=int, required=True, metavar="M", help="state index, 1-based")
-    p.add_argument("--samples", type=int, default=1000)
-    _add_output_arguments(p)
-
-    p = sub.add_parser("variants", help="intersections of a rewritten equation")
-    _add_well_arguments(p)
-    p.add_argument(
-        "--kind",
-        choices=[k.value for k in VariantKind],
-        required=True,
-        help="which rewriting of the eigenvalue equation",
-    )
-    _add_output_arguments(p)
-
-    p = sub.add_parser("curves", help="plot-ready samples of one curve")
-    _add_well_arguments(p)
-    p.add_argument(
-        "--kind",
-        choices=[k.value for k in CurveKind],
-        required=True,
-    )
-    p.add_argument("--samples", type=int, default=1000)
-    _add_output_arguments(p)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.well:
+            group = p.add_argument_group("well parameters")
+            group.add_argument("--z0", type=float, help="dimensionless well strength")
+            group.add_argument("--mass", type=float, help="particle mass")
+            group.add_argument("--width", type=float, help="well width a")
+            group.add_argument("--depth", type=float, help="well depth V0")
+            group.add_argument(
+                "--units",
+                choices=list(_UNIT_SCALES),
+                default=None,
+                help="units of the physical triple: SI, or electron masses / nm / eV",
+            )
+        if command.solver:
+            p.add_argument(
+                "--tol", type=float, default=1e-12, help="root tolerance (default 1e-12)"
+            )
+            p.add_argument(
+                "--max-iter", type=int, default=50, help="iteration cap (default 50)"
+            )
+        for arg, keywords in command.own.items():
+            p.add_argument(f"--{arg}", **keywords)
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
     return parser
 
 
@@ -172,12 +160,12 @@ def _check_enumerable(strength: WellStrength) -> None:
 
 
 def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> OutputDocument:
-    if args.cmd == "exact":
-        inputs: dict[str, object] = {}
-    else:
+    command = _COMMANDS[args.cmd]
+    inputs: dict[str, object] = {}
+    if command.well:
         strength, width, inputs = _resolve_well(parser, args)
-    inputs.update((name, getattr(args, name)) for name in _ECHOED.get(args.cmd, ()))
-    if args.cmd in ("solve", "wavefn"):
+    inputs.update((name, getattr(args, name)) for name in command.own)
+    if command.solver:
         config = SolveConfig(root_tol=args.tol, max_newton_iters=args.max_iter)
         inputs.update({"tol": config.root_tol, "max_iter": config.max_newton_iters})
 
@@ -199,8 +187,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Outp
     elif args.cmd == "exact":
         results = exact_solution(args.n)._asdict()
     elif args.cmd == "wavefn":
-        if args.samples < 2:
-            raise DomainError(f"need at least 2 samples, got {args.samples}")
+        _check_int("samples", args.samples, 2)
         state, _ = newton_solve(args.state, strength, config)
         spec = build_wavefunction(state, strength, a=width)
         x_max = spec.a + 8.0 / spec.k_tilde

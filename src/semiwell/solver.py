@@ -51,29 +51,26 @@ from .errors import ConvergenceError, DomainError
 # h at the band midpoint delta = pi/4 is eps - pi/4 - _MIDPOINT_SAG z0
 _MIDPOINT_SAG = 2.0 * math.sin(math.pi / 8.0) ** 2
 
+# the residual |z - z0 |sin z|| an accepted root must reach, above its
+# rounding floor
+_RESIDUAL_TOL = 1e-9
 
-class SolveConfig(namedtuple("SolveConfig", "root_tol residual_tol max_newton_iters")):
-    """Tolerances for the Newton solve.
+
+class SolveConfig(namedtuple("SolveConfig", "root_tol max_newton_iters")):
+    """Settings of the Newton solve.
 
     root_tol is the step-size target relative to the iterate, in the band's
-    own coordinate (widened to a few ulps of it below float resolution).
-    residual_tol double-checks |z - z0 |sin z|| at the accepted root.
+    own coordinate (widened to a few ulps of it below float resolution), and
+    max_newton_iters caps the steps of one band.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        root_tol: float = 1e-12,
-        residual_tol: float = 1e-9,
-        max_newton_iters: int = 50,
-    ) -> SolveConfig:
+    def __new__(cls, root_tol: float = 1e-12, max_newton_iters: int = 50) -> SolveConfig:
         if not (math.isfinite(root_tol) and root_tol > 0.0):
             raise DomainError(f"root_tol must be positive, got {root_tol!r}")
-        if not (math.isfinite(residual_tol) and residual_tol > 0.0):
-            raise DomainError(f"residual_tol must be positive, got {residual_tol!r}")
         _check_int("max_newton_iters", max_newton_iters, 1)
-        return tuple.__new__(cls, (root_tol, residual_tol, max_newton_iters))
+        return tuple.__new__(cls, (root_tol, max_newton_iters))
 
     _make = classmethod(_validated_make)
 
@@ -125,7 +122,7 @@ def _band_roots(
     """(m, z, z_tilde) of the root of each band frame (m, e_hi, e_lo, eps).
 
     Newton in delta or theta stops when the step drops below root_tol |x|
-    or 4 ulps of x, then certifies the residual against residual_tol
+    or 4 ulps of x, then certifies the residual against _RESIDUAL_TOL
     (widened for a loose root_tol) plus its rounding floor: |slope| ulp(x),
     and a few ulp(z0) from terms up to z0.  trail, if given, receives the
     iterates in z, and iters the number of Newton steps of each band.  Given
@@ -135,7 +132,7 @@ def _band_roots(
     sin, cos, ulp, pi, inf = math.sin, math.cos, math.ulp, math.pi, math.inf
     root_tol = config.root_tol
     steps = range(config.max_newton_iters + 1)
-    residual_cap = max(config.residual_tol, 10.0 * root_tol * max(1.0, v))
+    residual_cap = max(_RESIDUAL_TOL, 10.0 * root_tol * max(1.0, v))
     ulps_v = 4.0 * ulp(v)
     sag = 0.25 * pi + _MIDPOINT_SAG * v
     for m, hi, lo, eps in frames:
@@ -215,7 +212,7 @@ def newton_solve(
 
     Newton on the band's concave residual (see the module docstring), from
     the band midpoint (4m - 1) pi / 4.  The root is accepted when its
-    residual is within config.residual_tol or, where float64 cannot reach
+    residual is within _RESIDUAL_TOL (1e-9) or, where float64 cannot reach
     that, within the rounding floor of the residual.  Raises DomainError
     when band m holds no root for this z0 (z0 lies at or below its left
     edge) or is past float64's band resolution (m > 2^52).

@@ -494,8 +494,8 @@ FROZEN_ERRORS = {
     "wavefn --z0 15 --state 6": (
         1, "error: band m=6 holds no root: z0=15.0 supports 5 bound state(s)\n"
     ),
-    "wavefn --z0 15 --state 1 --samples 1": (1, "error: need at least 2 samples, got 1\n"),
-    "wavefn --z0 15 --state 0 --samples 1": (1, "error: need at least 2 samples, got 1\n"),
+    "wavefn --z0 15 --state 1 --samples 1": (1, "error: samples must be an int >= 2, got 1\n"),
+    "wavefn --z0 15 --state 0 --samples 1": (1, "error: samples must be an int >= 2, got 1\n"),
     "wavefn --z0 15 --state 2 --tol 0 --samples 1": (
         1, "error: root_tol must be positive, got 0.0\n"
     ),

@@ -101,6 +101,7 @@ ITERATES_25_4 = [
         # frozen: the exact count, 50-digit mpmath
         (21 * math.pi / 2 + 1e-11, 11),  # band 11 opens 1e-11 below z0
         (1e15, 318_309_886_183_791),
+        (2**52 * math.pi, 2**52),  # the deepest band the frame places
         (math.nextafter(math.pi / 2, 4.0), 0),  # no float between pi/2 and z0
     ],
 )
@@ -191,8 +192,6 @@ def test_newton_solve_rejects_empty_bands(m, z0, message):
 def test_solve_config_validation():
     with pytest.raises(DomainError):
         SolveConfig(root_tol=0.0)
-    with pytest.raises(DomainError):
-        SolveConfig(residual_tol=-1e-9)
     with pytest.raises(DomainError):
         SolveConfig(max_newton_iters=0)
 
@@ -321,7 +320,8 @@ def test_spectrum_invariants_hold_across_strengths(z0):
 @pytest.mark.parametrize("m,z0", [(41_749, 2e5), (200_001, 1e6)])
 def test_deep_roots_are_certified_at_the_rounding_floor(m, z0):
     # |f'| ~ z0 here, so even the float nearest the root leaves |f| of
-    # about z0 ulp(z), 6e-6 and 1e-4, far above residual_tol
+    # about z0 ulp(z), 6e-6 and 1e-4, far above the solver's residual
+    # tolerance of 1e-9
     state, _ = newton_solve(m, z0)
     step = 2.0 * math.ulp(state.z)
     assert residual_interval(state.z - step, m, z0) < 0.0
@@ -609,6 +609,14 @@ def test_low_state_of_a_very_deep_well_at_the_right_edge(z0, m, z, z_tilde):
     assert state.z_tilde == pytest.approx(z_tilde, rel=2e-16)
     assert BoundState(*state) == state
     assert z == float(m * (Fraction(math.pi) + Fraction(PI_LO)))
+
+
+def test_band_2_52_is_solved():
+    # 2m - 1 = 2^53 - 1 is still an exact float, so the frame places band
+    # 2^52 and both the solver and BoundState accept its root
+    state, _ = newton_solve(2**52, 1.5e16)
+    assert state.m == 2**52
+    assert BoundState(*state) == state
 
 
 @pytest.mark.parametrize("z0", [1e17, 1e20])

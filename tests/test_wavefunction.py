@@ -93,6 +93,15 @@ def test_build_rejects_mismatched_strength():
         build_wavefunction(state, 25.0)
 
 
+def test_build_rejects_a_negative_decay_constant_on_the_circle():
+    # BoundState itself refuses z_tilde <= 0, so the state is built bare:
+    # it sits on the circle, and only the decay constant's sign is wrong
+    m, z, z_tilde, ratio = newton_solve(2, 15.0)[0]
+    state = tuple.__new__(BoundState, (m, z, -z_tilde, ratio))
+    with pytest.raises(DomainError, match="not normalizable"):
+        build_wavefunction(state, 15.0)
+
+
 def test_circle_check_holds_where_z0_squared_overflows():
     # z0^2 is inf above about 1.34e154, where z^2 + z_tilde^2 - z0^2 would be
     # nan and let any state through; the check compares radii instead
