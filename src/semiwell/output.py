@@ -104,8 +104,6 @@ def _json_text(value: object) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        if value.isprintable() and '"' not in value and "\\" not in value:
-            return '"' + value + '"'
         value = value.replace("\\", "\\\\").replace('"', '\\"')
         return '"' + "".join([f"\\u{ord(c):04x}" if c < " " else c for c in value]) + '"'
     if isinstance(value, dict):

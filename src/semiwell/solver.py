@@ -127,7 +127,7 @@ def _band_roots(
     and a few ulp(z0) from terms up to z0.  trail, if given, receives the
     iterates in z, and iters the number of Newton steps of each band.  Given
     start, Newton runs in delta from there instead, for a crossing between
-    the bands, and z is its last iterate.
+    the bands; z is its last iterate, left to the residual check at the cap.
     """
     sin, cos, ulp, pi, inf = math.sin, math.cos, math.ulp, math.pi, math.inf
     root_tol = config.root_tol
@@ -171,10 +171,12 @@ def _band_roots(
             if trail is not None:
                 trail.append(hi + (lo + s * x))
         else:
-            raise ConvergenceError(
-                f"no convergence after {config.max_newton_iters} iterations "
-                f"for m={m}, z0={v!r}"
-            )
+            # a crossing's near-double root may never settle: its residual decides
+            if start is None:
+                raise ConvergenceError(
+                    f"no convergence after {config.max_newton_iters} iterations "
+                    f"for m={m}, z0={v!r}"
+                )
         if abs(fx) > residual_cap + abs(dfx) * ulp(x) + ulps_v:
             raise ConvergenceError(
                 f"step size converged but the residual {fx!r} exceeds tolerance "

@@ -23,25 +23,26 @@ the residual and the curves of :mod:`semiwell.output` all read it.
 
 The crossings are counted exactly, in one scan per well that every kind
 reads.  On each half-pi cell [k pi/2, (k + 1) pi/2] every g above is
-either +|sin z| or -|sin z|, so a kind keeps the crossings of y = z0 |sin z|
-on the cells where its g is +|sin z|, by the parity of the cell or band.
++|sin z| or -|sin z|, so a kind keeps the crossings of y = z0 |sin z| on
+the cells where its g is +|sin z|, by the parity of the cell or band.
 They are roots of the solver's concave band residual h_m(delta) =
--(z - z0 |sin z|), delta = z - e_m, with m = k // 2 + 1.  The odd cell
-k = 2m - 1 is band m (delta > 0), where h_m falls from z0 - e_m: one root
-when that is positive, the spectrum's, from the band solve.  The even cell
-k = 2m - 2 lies between the bands (cot(z) > 0): h_m rises from -(m - 1) pi
-to its maximum at delta = -arcsin(1/z0), then falls to z0 - e_m, so it has
-at most one root on either side, found by the solver's batch kernel from
-the cells' ends, all left ends in one run and all right ends in another.
-The signs of h_m there give the count; the parity of the cell is the
-``spurious`` flag.  The scan of the last well asked about is kept.
+-(z - z0 |sin z|), delta = z - e_m, m = k // 2 + 1.  The odd cell
+k = 2m - 1 is band m, where h_m falls from eps_m = z0 - e_m: by the count
+rule of :func:`count_bound_states`, bands 1..N hold one root each, the
+spectrum's.  The even cell k = 2m - 2 lies between the bands (cot(z) > 0),
+where h_m rises from -(m - 1) pi to its peak at delta = -arcsin(1/z0),
+then falls to eps_m: below bands 2..N it holds one root, on the rising
+side.  Only the top cell, below band N + 1, is tested: its pair needs a
+positive peak, its right root eps_m < 0 and its left root N >= 1.  The
+solver's batch kernel finds the left roots in one run and the right one in
+another; the parity of the cell is the ``spurious`` flag.  The scan of the
+last well asked about is kept.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from collections import namedtuple
 
@@ -140,11 +141,11 @@ def enumerate_intersections(
 ) -> VariantReport:
     """All crossings of y = z with y = z0 g(z) on (0, z0], in increasing z.
 
-    Crossings can only occur for z <= z0 since |g| <= 1.  Each half-pi
-    cell below z0 on which g = +|sin z| holds at most two; the signs of
-    z - z0 |sin z| at the ends of the cell's monotone pieces count them
-    exactly, and a crossing on a band is the band solve's root (see the
-    module docstring).  At a threshold, where no float lies strictly
+    Crossings can only occur for z <= z0 since |g| <= 1.  The count of
+    bound states N places them on the cells where g = +|sin z| (see the
+    module docstring): one on each of bands 1..N, the band solve's root,
+    one on each gap cell below bands 2..N, and at most two on the gap cell
+    below band N + 1.  At a threshold, where no float lies strictly
     between z0 and k pi/2, the grazing crossing z = z0 is not reported.  A
     crossing between the bands, where cot(z) > 0 and the original equation
     fails, is spurious.
@@ -156,22 +157,21 @@ def enumerate_intersections(
 
 @functools.lru_cache(maxsize=1)
 def _crossings(v: float) -> tuple[tuple[Intersection, int], ...]:
-    # each crossing of y = z0 |sin z| for a validated z0 v, sorted, with its _KEEP index
-    bands = itertools.takewhile(lambda m: (m - 1) * math.pi < v, itertools.count(1))
-    frames = list(_band_frames(bands, v))
-    if v > 1.0:  # h peaks at delta = d, where it is eps - d - sag
-        d = -math.asin(1.0 / v)
-        sag = 2.0 * v * math.sin(0.5 * d) ** 2
-        cells = [f for f in frames if f[3] - d - sag > 0.0]
-    else:  # h only falls: no cell holds a crossing
-        cells = []
-    # runs from the cells' left and right ends, where h < 0, so that Newton on
-    # a concave h never crosses a root, and on the bands; each run is in
-    # increasing z and no two runs share a z but two spurious ones of a cell
+    # each crossing of y = z0 |sin z| for a validated z0 v, sorted, with its _KEEP
+    # index; band n + 1's frame comes first, to refuse a well past band 2^52 at once
+    n = count_bound_states(v)
+    top = next(_band_frames((n + 1,), v))
+    frames = list(_band_frames(range(1, n + 1), v))
+    # h peaks at delta = d, where it is eps - d - sag; for z0 <= 1 it only falls
+    d = -math.asin(min(1.0, 1.0 / v))
+    pair = v > 1.0 and top[3] - d - 2.0 * v * math.sin(0.5 * d) ** 2 > 0.0
+    # runs from the cells' left ends and the top cell's right end, where h < 0,
+    # so that Newton on a concave h never crosses a root, and on the bands;
+    # each run is in increasing z and no two runs share a z but the top pair
     runs = (
-        ([f for f in cells if f[0] > 1], -_HALF_PI),
-        ([f for f in cells if f[3] < 0.0], 0.0),
-        ([f for f in frames if f[3] > 0.0], None),
+        (frames[1:] + ([top] if pair and n >= 1 else []), -_HALF_PI),
+        ([top] if pair and top[3] < 0.0 else [], 0.0),
+        (frames, None),
     )
     config, new = SolveConfig(), tuple.__new__
     found = sorted(

@@ -23,9 +23,11 @@ from semiwell import (
     DomainError,
     SolveConfig,
     Spectrum,
+    VariantKind,
     WellStrength,
     build_wavefunction,
     count_bound_states,
+    enumerate_intersections,
     newton_solve,
     probability_inside,
     residual_exact,
@@ -631,6 +633,10 @@ def test_bands_past_float64_resolution_are_refused(z0):
     # solve_all refuses the well before its loop, not after 2^52 solves
     with pytest.raises(DomainError, match="float64's band resolution"):
         solve_all(z0)
+    # and the variant scan at once, from band N + 1's frame, placed first
+    for kind in VariantKind:
+        with pytest.raises(DomainError, match="float64's band resolution"):
+            enumerate_intersections(kind, z0)
     assert count_bound_states(sys.float_info.max) > 10**307
 
 

@@ -30,6 +30,21 @@ EXACT_Z0 = math.sqrt(2.0) * EXACT_Z
 # (2 pi, 5 pi / 2): a pair of crossings about 0.01 apart
 SIN_TANGENT_Z0 = 7.789805767492725
 
+# just above a SIN or NEG_SIN tangency, within 1e-10 relative, and just above
+# z0 = 1, where the crossings of the top cell form a near-double root: Newton
+# there cycles within float noise instead of settling, and the residual
+# certifies its last iterate
+NEAR_TANGENCY = [
+    7.789705768492724,
+    7.789705767500514,
+    10.949879869827358,
+    17.249765567560356,
+    20.395832521843438,
+    466.52543730475327,
+    1.00001,
+    1.000001,
+]
+
 # just above the thresholds k pi / 2, where the top root sits within
 # about 1e-9 of z0
 NEAR_THRESHOLD = [k * math.pi / 2 + d for k in (3, 5, 7, 21) for d in (1e-9, 1e-7)]
@@ -110,7 +125,9 @@ def test_crossings_are_sorted_and_confined():
         assert all(0.0 < z <= 25.0 for z in zs)
 
 
-@pytest.mark.parametrize("z0", [25.0, SIN_TANGENT_Z0] + NEAR_THRESHOLD + ULP_ABOVE_THRESHOLD)
+@pytest.mark.parametrize(
+    "z0", [25.0, SIN_TANGENT_Z0] + NEAR_THRESHOLD + ULP_ABOVE_THRESHOLD + NEAR_TANGENCY
+)
 @pytest.mark.parametrize("kind", list(VariantKind))
 def test_spurious_flag_matches_cot_sign(kind, z0):
     # the flag is the parity of the crossing's half-pi cell; the sign of
@@ -177,7 +194,9 @@ def test_sin_forms_hold_only_in_the_shallowest_wells(z0):
 
 @pytest.mark.parametrize(
     "z0",
-    [1.6, 2.0, 3.3, 7.7, 10.0, 13.1, 18.6, 25.0, 33.3, 40.0, 1e3] + NEAR_THRESHOLD,
+    [1.6, 2.0, 3.3, 7.7, 10.0, 13.1, 18.6, 25.0, 33.3, 40.0, 1e3]
+    + NEAR_THRESHOLD
+    + NEAR_TANGENCY,
 )
 def test_kept_crossings_track_solver_roots(z0):
     # a genuine crossing is the band solve's root, so it equals the
@@ -206,7 +225,16 @@ def test_crossings_split_cleanly_across_forms(z0):
     assert [i.z for i in abs_sin.intersections] == sorted(union)
     correct = enumerate_intersections(VariantKind.CORRECT, z0)
     assert [i.z for i in correct.intersections] == abs_sin.genuine_roots()
-    assert correct.n_total == count_bound_states(z0)
+    n = count_bound_states(z0)
+    assert correct.n_total == n
+    # the count rule: the gap cell below each band 2..N holds one spurious
+    # crossing, SIN's below an odd band and NEG_SIN's below an even one; only
+    # the top cell, below band N + 1, holds 0, 1 or 2
+    assert abs_sin.n_spurious - max(n - 1, 0) in (0, 1, 2)
+    for kind, first in ((VariantKind.SIN, 2), (VariantKind.NEG_SIN, 1)):
+        lower = enumerate_intersections(kind, z0).intersections
+        cells = [int(i.z // math.pi) for i in lower if i.spurious and i.z < n * math.pi]
+        assert cells == list(range(first, n, 2))
     # the scan is the reference for the verdict: filtering recovers the
     # spectrum exactly when the genuine crossings are solve_all's roots
     roots = [s.z for s in solve_all(z0)]
