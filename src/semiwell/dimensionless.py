@@ -11,9 +11,10 @@ decay constant) lies on the circle z^2 + z_tilde^2 = z0^2.  The energy is
 E = V0 (z / z0)^2.  Solutions only exist where cot(z) < 0, i.e. in the
 bands ((2m - 1) pi / 2, m pi) for m = 1, 2, ...  Their edges are placed
 here alone, exactly as pairs of floats while 2m - 1 is exact (m <= 2^52,
-float64's band resolution, past which the frame refuses a band): e_m by
-:func:`_band_frames`, a run of bands per call, and m pi = e_m + pi / 2
-by :func:`_band_top`.  Every edge check and every band solve reads them.
+float64's band resolution): e_m by :func:`_band_frames`, for a run of
+bands first..last per call, and m pi = e_m + pi / 2 by :func:`_band_top`.
+A run with last > 2^52 is refused there, once, before its first frame.
+Every edge check and every band solve reads them.
 
 Everything in this module is a pure function of z and z0.  Physical
 units enter only through :mod:`semiwell.units`.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from .errors import DomainError
 
@@ -92,19 +93,20 @@ def _check_int(label: str, n: int, least: int) -> None:
 _PI_SPLIT = (3.1415926814079285, -2.781813535079891e-08)
 
 
-def _band_frames(bands: Iterable[int], v: float) -> Iterator[tuple]:
-    # the frame (m, hi, lo, eps) of each band m of bands.  Its left edge
+def _band_frames(first: int, last: int, v: float) -> Iterator[tuple]:
+    # the frame (m, hi, lo, eps) of each band m = first..last.  Its left edge
     # e_m = (2m - 1) pi / 2 = hi + lo, hi the float nearest it, to about 1e-32
     # relative: (2m - 1) math.pi is its rounded product plus the exact error
     # (Dekker's two-product), which (2m - 1)(pi - math.pi) joins.  Also
     # eps = z0 - e_m, 0 at the threshold: z0 is hi or the float past hi
     # toward e_m (tested only within 2 ulps of hi), so that no float lies
     # strictly between z0 and e_m and no root z satisfies e_m < z < z0.  Past
-    # band 2^52, where 2m - 1 has no exact float, no band can be placed.
+    # band 2^52, where 2m - 1 has no exact float, no band can be placed: a run
+    # that reaches past it is refused here, before its first frame.
+    if last > 2**52:
+        raise DomainError(f"band m={last} is past float64's band resolution: m > 2^52")
     (ph, pl), near = _PI_SPLIT, 2.0 * math.ulp(v)
-    for m in bands:
-        if m > 2**52:
-            raise DomainError(f"band m={m} is past float64's band resolution: m > 2^52")
+    for m in range(first, last + 1):
         x = float(2 * m - 1)
         p = x * math.pi
         c = 134217729.0 * x
@@ -143,7 +145,7 @@ class BoundState(namedtuple("BoundState", "m z z_tilde energy_ratio")):
     ) -> BoundState:
         _check_int("interval index", m, 1)
         # the floats nearest the band's edges, the only place a root can sit
-        _, lo, e_lo, _ = next(_band_frames((m,), 0.0))
+        _, lo, e_lo, _ = next(_band_frames(m, m, 0.0))
         hi = sum(_band_top(lo, e_lo))
         if not lo <= z <= hi:
             raise DomainError(f"z={z!r} outside interval [{lo!r}, {hi!r}] for m={m}")
@@ -157,10 +159,10 @@ class BoundState(namedtuple("BoundState", "m z z_tilde energy_ratio")):
 
 
 def cot(z: float) -> float:
-    """cos(z) / sin(z), guarded against evaluation at a pole."""
-    s = math.sin(z)
+    """cos(z) / sin(z) at a finite z, guarded against evaluation at a pole."""
+    s = math.sin(z) if math.isfinite(z) else 0.0
     if abs(s) < _SIN_GUARD:
-        raise DomainError(f"cot undefined this close to a multiple of pi: z={z!r}")
+        raise DomainError(f"cot undefined at z={z!r}: not finite or too close to a pole")
     return math.cos(z) / s
 
 

@@ -1,8 +1,8 @@
 """Root counting and the Newton solve of the spectrum in band-edge coordinates.
 
-Band m, from e_m = (2m - 1) pi / 2 to m pi, is placed by the band frame of
-:mod:`semiwell.dimensionless`, which refuses a band past 2^52, where it
-cannot be exact.  Band m holds one root when eps_m = z0 - e_m > 0, which
+Band m, from e_m = (2m - 1) pi / 2 to m pi, is placed by the band frames
+of :mod:`semiwell.dimensionless`, which refuse a run past band 2^52, where
+they cannot be exact.  Band m holds one root when eps_m = z0 - e_m > 0, which
 is 0 at a threshold: no float lies strictly between z0 and e_m, and the
 grazing intersection z = z0 carries no state.
 
@@ -107,7 +107,7 @@ def count_bound_states(z0: WellStrength | float) -> int:
     if n >= 2**52:
         return n
     # band 0's eps, z0 + pi/2, is positive: the count never falls below 0
-    (_, _, _, here), (_, _, _, past) = _band_frames((n, n + 1), v)
+    (_, _, _, here), (_, _, _, past) = _band_frames(n, n + 1, v)
     return n + 1 if past > 0.0 else n if here > 0.0 else n - 1
 
 
@@ -223,7 +223,7 @@ def newton_solve(
     _check_int("interval index", m, 1)
     # m - 1 < z0 / pi compares exactly, so a huge m never reaches the frame,
     # and the count only words the error
-    if not (m - 1 < v / math.pi and (frame := next(_band_frames((m,), v)))[3] > 0.0):
+    if not (m - 1 < v / math.pi and (frame := next(_band_frames(m, m, v)))[3] > 0.0):
         raise DomainError(
             f"band m={m} holds no root: z0={v!r} supports "
             f"{count_bound_states(v)} bound state(s)"
@@ -247,9 +247,7 @@ def solve_spectrum(
     """
     v = strength_value(z0)
     n = count_bound_states(v)
-    if n > 2**52:  # the top band's frame raises its refusal before any solve
-        next(_band_frames((n,), v))
-    new, iters, frames = tuple.__new__, [], _band_frames(range(1, n + 1), v)
+    new, iters, frames = tuple.__new__, [], _band_frames(1, n, v)
     states = [
         new(BoundState, (m, z, z_tilde, (z / v) ** 2))
         for m, z, z_tilde in _band_roots(v, frames, config, iters=iters)

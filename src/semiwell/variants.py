@@ -157,11 +157,9 @@ def enumerate_intersections(
 
 @functools.lru_cache(maxsize=1)
 def _crossings(v: float) -> tuple[tuple[Intersection, int], ...]:
-    # each crossing of y = z0 |sin z| for a validated z0 v, sorted, with its _KEEP
-    # index; band n + 1's frame comes first, to refuse a well past band 2^52 at once
+    # each crossing of y = z0 |sin z| for a validated z0 v, sorted, with its _KEEP index
     n = count_bound_states(v)
-    top = next(_band_frames((n + 1,), v))
-    frames = list(_band_frames(range(1, n + 1), v))
+    *frames, top = _band_frames(1, n + 1, v)
     # h peaks at delta = d, where it is eps - d - sag; for z0 <= 1 it only falls
     d = -math.asin(min(1.0, 1.0 / v))
     pair = v > 1.0 and top[3] - d - 2.0 * v * math.sin(0.5 * d) ** 2 > 0.0

@@ -71,11 +71,16 @@ def build_wavefunction(
         raise DomainError(
             f"state (z={z!r}, z_tilde={zt!r}) does not belong to z0={v!r}"
         )
+    # below some width k = z / a or kappa = z_tilde / a passes float64, and the
+    # norm, the density and the samples with it
+    k, kappa = z / a, zt / a
+    if k == math.inf or kappa == math.inf:
+        raise DomainError(f"well width {a!r} is too small: k or kappa overflows float64")
     sin_z = math.sin(z)
     i1 = (a / (4.0 * z)) * (2.0 * z - math.sin(2.0 * z))
     i2 = a * sin_z**2 / (2.0 * zt)
     amplitude = 1.0 / math.sqrt(i1 + i2)
-    spec = (a, z / a, zt / a, amplitude, amplitude * sin_z)
+    spec = (a, k, kappa, amplitude, amplitude * sin_z)
     return tuple.__new__(WavefunctionSpec, spec)  # it has no checks to skip
 
 

@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import semiwell
 import semiwell.cli
@@ -189,6 +191,23 @@ def test_wavefn_refuses_a_band_past_float64_resolution(capsys):
     assert code == 1 and out == ""
     assert "float64's band resolution" in err
     assert "holds no root" not in err
+
+
+# a physical magnitude drawn by its log over float64's positive range
+_MAGNITUDE = st.floats(min_value=-324.0, max_value=308.25).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(triple=st.tuples(_MAGNITUDE, _MAGNITUDE, _MAGNITUDE), units=st.sampled_from(["si", "ev-nm"]))
+@example(triple=(1e300, 1e-310, 1e253), units="si")
+@example(triple=(1e300, 5e-324, 1.7e308), units="si")
+@example(triple=(1.7e308, 1e-30, 1e300), units="ev-nm")
+def test_wavefn_answers_or_refuses_any_physical_well(triple, units):
+    # a document or an error message for every triple, never a traceback: the
+    # examples are widths so small that k or kappa overflows float64
+    well = [f"--{name}={value!r}" for name, value in zip(("mass", "width", "depth"), triple)]
+    argv = ["wavefn", *well, "--units", units, "--state", "1", "--samples", "3"]
+    assert run([*argv, "--output", os.devnull]) in (0, 1)
 
 
 def test_wavefn_rejects_state_beyond_count(capsys):
@@ -515,6 +534,9 @@ FROZEN_ERRORS = {
     ),
     "wavefn --z0 1e17 --state 31830988618379068": (
         1, "error: band m=31830988618379068 is past float64's band resolution: m > 2^52\n"
+    ),
+    "wavefn --mass 1e300 --width 1e-310 --depth 1e253 --units si --state 1 --samples 3": (
+        1, "error: well width 1e-310 is too small: k or kappa overflows float64\n"
     ),
     "curves --kind cot --z0 1e308": (
         1, "error: the cot curve -z cot(z) overflows float64 for z0=1e+308\n"

@@ -114,8 +114,9 @@ class TestBoundState:
 def test_cot_at_quadrant_points():
     assert cot(math.pi / 2) == pytest.approx(0.0, abs=1e-15)
     assert cot(math.pi / 4) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        cot(0.0)
+    for pole in (0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="cot undefined"):
+            cot(pole)
 
 
 def test_residual_exact_vanishes_at_exact_family_root():

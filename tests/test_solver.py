@@ -43,8 +43,8 @@ PI_LO = 1.2246467991473532e-16
 
 
 def _frame(m, z0):
-    # band m's (hi, lo, eps), from a one-band pass of the frame generator
-    return next(_band_frames((m,), z0))[1:]
+    # band m's (hi, lo, eps), from a one-band run of the frame generator
+    return next(_band_frames(m, m, z0))[1:]
 
 
 ROOTS_15 = [
@@ -627,13 +627,16 @@ def test_bands_past_float64_resolution_are_refused(z0):
     # the band; the count keeps its float estimate round(z0 / pi)
     n = count_bound_states(z0)
     assert n == round(z0 / math.pi) > 2**52
+    # a run past band 2^52 is refused before its first frame, band 2^52's
+    with pytest.raises(DomainError, match=r"band m=4503599627370497 is past"):
+        next(_band_frames(2**52, 2**52 + 1, z0))
     for m in (n, n - 1, n // 2):
         with pytest.raises(DomainError, match="float64's band resolution"):
             newton_solve(m, z0)
     # solve_all refuses the well before its loop, not after 2^52 solves
     with pytest.raises(DomainError, match="float64's band resolution"):
         solve_all(z0)
-    # and the variant scan at once, from band N + 1's frame, placed first
+    # and the variant scan at once, from its one run of frames, bands 1..N + 1
     for kind in VariantKind:
         with pytest.raises(DomainError, match="float64's band resolution"):
             enumerate_intersections(kind, z0)

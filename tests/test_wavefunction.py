@@ -120,6 +120,16 @@ def test_build_rejects_bad_width():
     for bad in (0.0, -1.0, math.inf):
         with pytest.raises(DomainError):
             build_wavefunction(state, z0, a=bad)
+    # widths so small that k = z / a or kappa = z_tilde / a overflows: both do
+    # at 1e-308 and at 5e-324, where the norm would divide by 0.0; for band 1
+    # of z0 = 15 at 2^-1022 only kappa does
+    band_1 = newton_solve(1, 15.0)[0]
+    assert band_1.z / 2.0**-1022 < math.inf and band_1.z_tilde / 2.0**-1022 == math.inf
+    cases = [(state, z0, 1e-308), (state, z0, 5e-324)]
+    cases += [(band_1, 15.0, bad) for bad in (1e-308, 2.0**-1022, 5e-324)]
+    for member, strength, bad in cases:
+        with pytest.raises(DomainError, match=f"well width {bad!r} is too small"):
+            build_wavefunction(member, strength, a=bad)
 
 
 @pytest.mark.parametrize("z0", [15.0, 25.0])
