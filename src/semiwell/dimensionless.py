@@ -200,5 +200,7 @@ def residual_interval(z: float, m: int, z0: WellStrength | float) -> float:
     """
     _check_int("interval index", m, 1)
     v = strength_value(z0)
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
     sign = -1.0 if m % 2 else 1.0
     return z + sign * v * math.sin(z)

@@ -20,13 +20,11 @@ no bracket.  The same loop finds the crossings of :mod:`semiwell.variants`
 between the bands (delta < 0).
 
 Inputs are checked once per public call.  One batch kernel,
-:func:`_band_roots`, solves a run of bands per call with Newton inline on
-the plain float z0: :func:`solve_spectrum` passes every counted band, with
-a list for the step counts that ``semiwell solve`` prints, and
-:func:`solve_all` reads its states; :func:`newton_solve` passes one band,
-once it has checked that the band holds a root, with a list for the z
-history; and :mod:`semiwell.variants` its bands and its starts between
-them.  A band with eps_m > 0 holds its root within its edges, with
+:func:`_band_roots`, runs Newton inline on the plain float z0 over a run
+of bands and yields each root with its step count: :func:`solve_spectrum`
+passes every counted band, :func:`newton_solve` one band, with a list for
+the z history, and :mod:`semiwell.variants` its bands and its starts
+between them.  A band with eps_m > 0 holds its root within its edges, with
 z_tilde > 0 and z < z0, and the kernel refuses an iterate that a loose
 root_tol stopped outside them, so the solver builds its states bare.
 """
@@ -117,17 +115,16 @@ def _band_roots(
     config: SolveConfig,
     trail: list[float] | None = None,
     start: float | None = None,
-    iters: list[int] | None = None,
-) -> Iterator[tuple[int, float, float]]:
-    """(m, z, z_tilde) of the root of each band frame (m, e_hi, e_lo, eps).
+) -> Iterator[tuple[int, float, float, int]]:
+    """(m, z, z_tilde, steps) of the root of each band frame (m, e_hi, e_lo, eps).
 
     Newton in delta or theta stops when the step drops below root_tol |x|
     or 4 ulps of x, then certifies the residual against _RESIDUAL_TOL
     (widened for a loose root_tol) plus its rounding floor: |slope| ulp(x),
-    and a few ulp(z0) from terms up to z0.  trail, if given, receives the
-    iterates in z, and iters the number of Newton steps of each band.  Given
-    start, Newton runs in delta from there instead, for a crossing between
-    the bands; z is its last iterate, left to the residual check at the cap.
+    and a few ulp(z0) from terms up to z0; steps counts its Newton steps.
+    trail, if given, receives the iterates in z.  Given start, Newton runs
+    in delta from there instead, for a crossing between the bands; z is its
+    last iterate, left to the residual check at the cap.
     """
     sin, cos, ulp, pi, inf = math.sin, math.cos, math.ulp, math.pi, math.inf
     root_tol = config.root_tol
@@ -183,7 +180,7 @@ def _band_roots(
                 f"for m={m}, z0={v!r}"
             )
         if start is not None:
-            yield m, hi + (lo + x), z_tilde
+            yield m, hi + (lo + x), z_tilde, i
             continue
         # a band solved with no Newton step reports the float midpoint
         z = mid if i == 0 else hi + (lo + s * x)
@@ -200,9 +197,7 @@ def _band_roots(
             z = math.nextafter(v, 0.0)
         if trail is not None:
             trail[-1] = z
-        if iters is not None:
-            iters.append(i)
-        yield m, z, z_tilde
+        yield m, z, z_tilde, i
 
 
 def newton_solve(
@@ -229,7 +224,7 @@ def newton_solve(
             f"{count_bound_states(v)} bound state(s)"
         )
     zs: list[float] = []
-    [(_, z, z_tilde)] = _band_roots(v, (frame,), config, zs)
+    [(_, z, z_tilde, _)] = _band_roots(v, (frame,), config, zs)
     state = tuple.__new__(BoundState, (m, z, z_tilde, (z / v) ** 2))
     return state, NewtonTrace(tuple(zs), fallback_bisections=0)
 
@@ -247,11 +242,10 @@ def solve_spectrum(
     """
     v = strength_value(z0)
     n = count_bound_states(v)
-    new, iters, frames = tuple.__new__, [], _band_frames(1, n, v)
-    states = [
-        new(BoundState, (m, z, z_tilde, (z / v) ** 2))
-        for m, z, z_tilde in _band_roots(v, frames, config, iters=iters)
-    ]
+    new, states, iters = tuple.__new__, [], []
+    for m, z, z_tilde, steps in _band_roots(v, _band_frames(1, n, v), config):
+        states.append(new(BoundState, (m, z, z_tilde, (z / v) ** 2)))
+        iters.append(steps)
     return new(Spectrum, (states, iters))
 
 

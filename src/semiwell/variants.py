@@ -175,7 +175,7 @@ def _crossings(v: float) -> tuple[tuple[Intersection, int], ...]:
     found = sorted(
         (new(Intersection, (z, x is not None)), 2 * (x is not None) + m % 2)
         for run, x in runs
-        for m, z, _ in _band_roots(v, run, config, start=x)
+        for m, z, _, _ in _band_roots(v, run, config, start=x)
     )
     return tuple(found)
 

@@ -79,7 +79,10 @@ def build_wavefunction(
     sin_z = math.sin(z)
     i1 = (a / (4.0 * z)) * (2.0 * z - math.sin(2.0 * z))
     i2 = a * sin_z**2 / (2.0 * zt)
-    amplitude = 1.0 / math.sqrt(i1 + i2)
+    # above some width the norm passes float64, and 1 / sqrt(inf) would be 0.0
+    if (norm := i1 + i2) == math.inf:
+        raise DomainError(f"well width {a!r} is too large: the norm overflows float64")
+    amplitude = 1.0 / math.sqrt(norm)
     spec = (a, k, kappa, amplitude, amplitude * sin_z)
     return tuple.__new__(WavefunctionSpec, spec)  # it has no checks to skip
 
@@ -111,13 +114,15 @@ def quadrature_norm_check(spec: WavefunctionSpec) -> float:
     The exponential tail beyond a is added analytically as
     B^2 / (2 kappa), which is exact.
     """
-    panels = math.ceil(_PANELS_PER_RADIAN * spec.k * spec.a)
+    # psi^2 is about 1 / a: psi and B are scaled by s, a power of two near sqrt(a)
+    s = math.ldexp(1.0, (math.frexp(spec.a)[1] - 1) // 2)
+    panels = math.ceil(_PANELS_PER_RADIAN * (spec.k * spec.a))
     half = 0.5 * spec.a / panels
     offset = math.sqrt(0.6) * half
     inside = math.fsum(
-        weight * evaluate(spec, (2 * i + 1) * half + shift) ** 2
+        weight * (s * evaluate(spec, (2 * i + 1) * half + shift)) ** 2
         for i in range(panels)
         for weight, shift in ((8.0, 0.0), (5.0, -offset), (5.0, offset))
-    ) * (half / 9.0)
-    tail = spec.outside_coeff**2 / (2.0 * spec.k_tilde)
+    ) * (half / 9.0 / (s * s))
+    tail = (s * spec.outside_coeff) ** 2 / (2.0 * (spec.k_tilde * (s * s)))
     return inside + tail

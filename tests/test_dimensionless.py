@@ -179,6 +179,10 @@ def test_residual_interval_vanishes_at_exact_family_root():
 def test_residual_interval_rejects_bad_index():
     with pytest.raises(DomainError):
         residual_interval(1.0, 0, 15.0)
+    # and a z that math.sin would refuse (+-inf) or carry through (nan)
+    for z in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="z must be finite"):
+            residual_interval(z, 1, 15.0)
 
 
 @pytest.mark.parametrize("m", [0, -1, 2.5, 3.0, True, "2", None])

@@ -7,8 +7,11 @@ evaluation of the closed-form family member n = 0 with a = 1.
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from semiwell import (
     BoundState,
@@ -130,6 +133,39 @@ def test_build_rejects_bad_width():
     for member, strength, bad in cases:
         with pytest.raises(DomainError, match=f"well width {bad!r} is too small"):
             build_wavefunction(member, strength, a=bad)
+    # widths so large that the norm I1 + I2 overflows, where 1 / sqrt(inf)
+    # would give an all-zero eigenfunction: I2 = a sin^2 z / (2 z_tilde) grows
+    # fastest near threshold, where z_tilde is small
+    shallow = newton_solve(1, 1.6)[0]
+    near_threshold = math.pi / 2 + 1e-10
+    cases = [(shallow, 1.6, 5e307), (shallow, 1.6, 1.7e308)]
+    cases += [(newton_solve(1, near_threshold)[0], near_threshold, 1e300)]
+    for member, strength, bad in cases:
+        with pytest.raises(DomainError, match=re.escape(f"well width {bad!r} is too large")):
+            build_wavefunction(member, strength, a=bad)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    z0=st.floats(min_value=math.pi / 2, max_value=1e3, exclude_min=True),
+    frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    a=st.floats(min_value=-324.0, max_value=308.25).map(lambda e: 10.0**e),
+)
+@example(z0=1.6, frac=0.0, a=5e307)
+@example(z0=math.pi / 2 + 1e-10, frac=0.0, a=1e300)
+def test_any_width_gives_a_normalized_state_or_a_refusal(z0, frac, a):
+    # a width log-uniform over the positive floats (10^-324 is 0.0): the state
+    # of any band is refused or has a positive amplitude and a probability
+    # inside in (0, 1]
+    n = count_bound_states(z0)
+    assume(n >= 1)  # the float just above pi/2 is a threshold
+    state = newton_solve(1 + int(frac * n), z0)[0]
+    try:
+        spec = build_wavefunction(state, z0, a=a)
+    except DomainError:
+        return
+    assert spec.amplitude > 0.0
+    assert 0.0 < probability_inside(spec) <= 1.0
 
 
 @pytest.mark.parametrize("z0", [15.0, 25.0])
@@ -155,6 +191,15 @@ def test_quadrature_norm_of_deep_states():
         state, _ = newton_solve(m, z0)
         spec = build_wavefunction(state, z0, a=1.0)
         assert abs(quadrature_norm_check(spec) - 1.0) < 1e-12
+    # and shallow states at widths near both ends of float64, where psi^2 is
+    # about 1 / a and 32 k, 8 psi^2 and 2 kappa would pass float64 unscaled;
+    # a width whose k overflows is refused by build_wavefunction
+    for m, strength in ((1, 15.0), (5, 15.0), (1, 1.6), (8, 25.0)):
+        state, _ = newton_solve(m, strength)
+        for a in (1e-306, 2e-307, 1e-307, 1e307):
+            if state.z / a < math.inf:
+                spec = build_wavefunction(state, strength, a=a)
+                assert abs(quadrature_norm_check(spec) - 1.0) < 1e-12
 
 
 def test_quadrature_scales_with_squared_amplitude():
