@@ -108,13 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="units of the physical triple: SI, or electron masses / nm / eV",
             )
-        if command.solver:
-            p.add_argument(
-                "--tol", type=float, default=1e-12, help="root tolerance (default 1e-12)"
-            )
-            p.add_argument(
-                "--max-iter", type=int, default=50, help="iteration cap (default 50)"
-            )
+        if command.solver:  # SolveConfig's defaults, which argparse puts in the help
+            tol, max_iter = SolveConfig()
+            shown = " (default %(default)s)"
+            p.add_argument("--tol", type=float, default=tol, help="root tolerance" + shown)
+            p.add_argument("--max-iter", type=int, default=max_iter, help="iteration cap" + shown)
         for arg, keywords in command.own.items():
             p.add_argument(f"--{arg}", **keywords)
         p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -6,16 +6,18 @@ x = a) has the piecewise form
     psi(x) = A sin(k x)                     0 <= x <= a
     psi(x) = B exp(-kappa (x - a))          x > a
 
-with B = A sin(k a) fixed by continuity and A > 0 by convention.  The
-normalization integral splits into
+with B = A sin(k a) fixed by continuity and A > 0 by convention.  With
+z = k a and z_tilde = kappa a on the root's own circle r = hypot(z, z_tilde),
+the eigenvalue equation gives sin z = (-1)^(m+1) z / r and
+sin 2z = -2 z z_tilde / r^2, so the norm and the probability of finding the
+particle inside the well collapse to
 
-    I1 = (a / 4z) (2z - sin 2z)             inside,  z = k a
-    I2 = a sin^2(z) / (2 z_tilde)           outside, z_tilde = kappa a
+    1 / A^2 = a (1 + z_tilde) / (2 z_tilde),      B = A (-1)^(m+1) z / r,
+    P_inside = (z_tilde + (z_tilde / r)^2) / (1 + z_tilde),
 
-and A = 1 / sqrt(I1 + I2).  The probability of finding the particle
-inside the well is A^2 I1.  Derivative continuity at x = a holds because
-(z, z_tilde) solves the eigenvalue equation, not by construction here;
-checking it numerically is a genuine test of the root.
+and no sine of the rounded z is taken.  Value and derivative continuity
+at x = a hold only because (z, z_tilde) solves the eigenvalue equation;
+checking either numerically is a genuine test of the root.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from collections import namedtuple
 from .dimensionless import BoundState, WellStrength, strength_value
 from .errors import DomainError
 
-# consistency slack for the circle constraint of a supplied state,
-# relative to z0^2
+# slack of the circle constraint on a supplied state, relative to z0^2
 _CIRCLE_SLACK = 1e-6
 
 # Gauss-Legendre panels per radian of k a.  Inside, psi^2 = A^2 (1 - cos 2kx) / 2,
@@ -67,7 +68,7 @@ def build_wavefunction(
         raise DomainError("state is not normalizable: decay constant <= 0")
     # |r^2 - z0^2| = |r - z0| (r + z0), about 2 z0 |r - z0|, for the radius
     # r = hypot(z, z_tilde), which cannot overflow as z0^2 can
-    if not abs(math.hypot(z, zt) - v) <= 0.5 * _CIRCLE_SLACK * v:
+    if not abs((r := math.hypot(z, zt)) - v) <= 0.5 * _CIRCLE_SLACK * v:
         raise DomainError(
             f"state (z={z!r}, z_tilde={zt!r}) does not belong to z0={v!r}"
         )
@@ -76,14 +77,12 @@ def build_wavefunction(
     k, kappa = z / a, zt / a
     if k == math.inf or kappa == math.inf:
         raise DomainError(f"well width {a!r} is too small: k or kappa overflows float64")
-    sin_z = math.sin(z)
-    i1 = (a / (4.0 * z)) * (2.0 * z - math.sin(2.0 * z))
-    i2 = a * sin_z**2 / (2.0 * zt)
-    # above some width the norm passes float64, and 1 / sqrt(inf) would be 0.0
-    if (norm := i1 + i2) == math.inf:
+    # above some width the norm passes float64 (a multiplies last, so that
+    # a (1 + z_tilde) cannot pass it first), and 1 / sqrt(inf) would be 0.0
+    if (norm := a * ((1.0 + zt) / (2.0 * zt))) == math.inf:
         raise DomainError(f"well width {a!r} is too large: the norm overflows float64")
     amplitude = 1.0 / math.sqrt(norm)
-    spec = (a, k, kappa, amplitude, amplitude * sin_z)
+    spec = (a, k, kappa, amplitude, amplitude * (z if state.m % 2 else -z) / r)
     return tuple.__new__(WavefunctionSpec, spec)  # it has no checks to skip
 
 
@@ -97,10 +96,9 @@ def evaluate(spec: WavefunctionSpec, x: float) -> float:
 
 
 def probability_inside(spec: WavefunctionSpec) -> float:
-    """Integral of psi^2 over [0, a], from the closed form A^2 I1."""
-    z = spec.k * spec.a
-    i1 = (spec.a / (4.0 * z)) * (2.0 * z - math.sin(2.0 * z))
-    return spec.amplitude**2 * i1
+    """Integral of psi^2 over [0, a], from the root's collapsed form."""
+    zt = spec.k_tilde * spec.a
+    return (zt + (zt / math.hypot(spec.k * spec.a, zt)) ** 2) / (1.0 + zt)
 
 
 def quadrature_norm_check(spec: WavefunctionSpec) -> float:

@@ -422,7 +422,7 @@ GOLDEN_STDOUT = {
     "solve --z0 25": "1a96befe140eec0f69d659616303c81beadfe2aa0a71f7ea494339ed5ddea49b",
     "solve --z0 25 --format csv": "f63f9db52d6318679d146951914edb7f735cd3701f071abe3cc45b83be8e67a0",
     "solve --z0 1.0": "88593d9164b980554a03dd577ab088ace0646a75ac91efe57efbe2a4210a00fb",
-    "wavefn --z0 15 --state 2 --samples 500": "a9a245c6185a2dd61bf32ba30d64b35c17fe9ad6308ac477921e50939871cf05",
+    "wavefn --z0 15 --state 2 --samples 500": "f437e6f8dc4b76474707f8476c9c6d341fdef54a023aa088edf1dff4f0a71930",
     "variants --kind sin --z0 25": "9fdb1099ad47ce3f271f22b50c0d3ec4ff7b1f4fadbac4366e4daddba4e5621c",
     "variants --kind abs-sin --z0 25": "9b20d31d5563d26223eb6f37f52642e90979eb38f0d9abfbc557ea5d822ec62c",
     "variants --kind neg-sin --z0 25": "536ae3d949a9bfbfacba589b40ebcfd065fbb3e09e5592027f94259a83be243d",
@@ -441,9 +441,9 @@ GOLDEN_STDOUT = {
     "count --mass 9.1093837015e-31 --width 1e-09 --depth 1.602176634e-19 --units si": "0ce5c4e540da0f3435b05bb365b74e2898c3d22a598ebd2e6fbb26db3b6529ab",
     "solve --mass 1 --width 1 --depth 1 --units ev-nm": "d2665ecaa54324aedf7ebeaa4067027a5291ab9b1a80fbf5cdd76bec2861851a",
     "solve --mass 9.1093837015e-31 --width 1e-09 --depth 1.602176634e-19 --units si": "375a36015d12e03ecb722d57c010fe78697de40b205f102e6ad0b1d7f5e119e8",
-    "wavefn --mass 1 --width 2 --depth 1 --units ev-nm --state 2 --samples 50": "55fdc605bf54ea05a599f071238c8749ca3fabaeb56686dcbcfe31dbbafd6822",
-    "wavefn --mass 9.1093837015e-31 --width 2e-09 --depth 1.602176634e-19 --units si --state 2 --samples 50": "a31aba20e437337ce8c6a47b1ccf95cd823fc056f9501b0a856b3ab4b6cfcdef",
-    "wavefn --z0 15 --state 2 --samples 50 --format csv": "6ad8ca9cdc96a94f0d11bf2009c23f4eed4a5c8221d72f79c862dac0fd494633",
+    "wavefn --mass 1 --width 2 --depth 1 --units ev-nm --state 2 --samples 50": "503fc8a01ce0059ea375e119b1f8029a926228e98f22cdd923eba42682fc8a16",
+    "wavefn --mass 9.1093837015e-31 --width 2e-09 --depth 1.602176634e-19 --units si --state 2 --samples 50": "4f550b479104b776b2241255afe883faa25b6e567887192abee55e65e3d6b12f",
+    "wavefn --z0 15 --state 2 --samples 50 --format csv": "101679faf70f179ff2ed38039f027e69379a7e147d58c8d5ba4ccbc7a157b3a1",
     "variants --kind abs-sin --z0 25 --format csv": "4e7a602e683299ed826690bda8656e05522972048116e185cc7d1ecdfdfd4f4f",
     "curves --kind correct --z0 15 --samples 64 --format csv": "280a798c3ee5f4d9463ff1e5e0233800be55f7d8748de24f0baae87e0141dde9",
 }

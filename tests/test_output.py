@@ -256,7 +256,7 @@ CSV_DIGESTS = {
     "solve --z0 1.0": "10cf7ba5c9f2a46b25cf7c61cc0c60865a1583750ef5b83d42b3e56688398a6e",
     "exact --n 3": "e4ad7c0e1dd057e700fb66676ea9e65e300da83183762965fdec32f579ee322d",
     "wavefn --z0 15 --state 2 --samples 50": (
-        "6ad8ca9cdc96a94f0d11bf2009c23f4eed4a5c8221d72f79c862dac0fd494633"
+        "101679faf70f179ff2ed38039f027e69379a7e147d58c8d5ba4ccbc7a157b3a1"
     ),
     "variants --kind sin --z0 25": (
         "d6226068438f56abfdd29645f72b522e59c983002fac6208d3f121c7c30d208e"

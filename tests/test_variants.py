@@ -92,6 +92,13 @@ def test_variant_residual_rejects_nonpositive_z():
         (VariantKind.NEG_SIN, 25.0, 8, [1, 3, 5, 7]),
         (VariantKind.SIN, SIN_TANGENT_Z0, 3, [2, 3]),
         (VariantKind.ABS_SIN, SIN_TANGENT_Z0, 5, [2, 4, 5]),
+        # z0 sin z < z for every z > 0 at z0 = 1: no crossing at all
+        (VariantKind.SIN, 1.0, 0, []),
+        (VariantKind.ABS_SIN, 1.0, 0, []),
+        # N = 1 with a pair in the cell below band 2: crossings at 2.558874
+        # (band 1), 4.353125 and 4.636680 (mpmath)
+        (VariantKind.ABS_SIN, 4.65, 3, [2, 3]),
+        (VariantKind.NEG_SIN, 4.65, 2, [1, 2]),
     ],
 )
 def test_flawed_forms_cross_in_the_wrong_places(kind, z0, total, spurious_positions):

@@ -1,7 +1,8 @@
 """Eigenfunction construction, normalization, and continuity.
 
 The frozen amplitude and sample value come from a 50-digit mpmath
-evaluation of the closed-form family member n = 0 with a = 1.
+evaluation of the closed-form family member n = 0 with a = 1, and the
+frozen deep states from 60-digit mpmath roots.
 """
 
 from __future__ import annotations
@@ -98,11 +99,14 @@ def test_build_rejects_mismatched_strength():
 
 def test_build_rejects_a_negative_decay_constant_on_the_circle():
     # BoundState itself refuses z_tilde <= 0, so the state is built bare:
-    # it sits on the circle, and only the decay constant's sign is wrong
+    # it sits on the circle, and only the decay constant's sign is wrong; a
+    # zero one, at the circle's end z = z0, would divide the norm
+    # a (1 + z_tilde) / (2 z_tilde) by zero
     m, z, z_tilde, ratio = newton_solve(2, 15.0)[0]
-    state = tuple.__new__(BoundState, (m, z, -z_tilde, ratio))
-    with pytest.raises(DomainError, match="not normalizable"):
-        build_wavefunction(state, 15.0)
+    for bare in ((m, z, -z_tilde, ratio), (5, 15.0, 0.0, 1.0), (5, 15.0, -0.0, 1.0)):
+        state = tuple.__new__(BoundState, bare)
+        with pytest.raises(DomainError, match="not normalizable"):
+            build_wavefunction(state, 15.0)
 
 
 def test_circle_check_holds_where_z0_squared_overflows():
@@ -211,6 +215,34 @@ def test_quadrature_scales_with_squared_amplitude():
         amplitude=2.0 * spec.amplitude, outside_coeff=2.0 * spec.outside_coeff
     )
     assert quadrature_norm_check(doubled) == pytest.approx(4.0, abs=4e-8)
+
+
+# A, B and P_inside of bands 1, N // 2 and N of deep wells at a = 1, from a
+# 60-digit mpmath root of the float z0 and the unreduced integrals
+# I1 = (a / 4z)(2z - sin 2z) and I2 = a sin^2 z / (2 z_tilde): A = 1 / sqrt(I1 + I2),
+# B = A sin z, P_inside = A^2 I1
+DEEP_STATES = [
+    (1e4, 1, 1.41414285699434713855, 0.0004442216588993717464, 0.999999999990133355401),
+    (1e4, 1591, 1.41413193202209450517, 0.706747867328918399958, 0.999971166106983098517),
+    (1e4, 3183, 1.41056344398725989903, 1.41030078556941644191, 0.994846534527404128562),
+    (1e8, 1, 1.41421355530202728997, 4.44288287151512300768e-8, 1.0),
+    (1e8, 15915494, 1.41421355420812939161, -0.707106755962331131201, 0.999999997113248888777),
+    (1e8, 31830989, 1.41413157061505383355, 1.41413156535713484101, 0.999884049505961730501),
+    (1e12, 1, 1.41421356237238794202, 4.44288293815170192261e-12, 1.0),
+    (1e12, 159154943092, 1.41421356237227855222, -0.707106781185863806547, 0.999999999999711324865),
+    (1e12, 318309886184, 1.41421303914158014264, -1.41421303914028872542, 0.99999926003903224565),
+]
+
+
+@pytest.mark.parametrize("z0,m,amplitude,outside_coeff,p_inside", DEEP_STATES)
+def test_deep_states_match_frozen_mpmath_values(z0, m, amplitude, outside_coeff, p_inside):
+    # the root's own z_tilde and radius keep all three within 4e-16 at every
+    # depth, band N of 1e12 included, where z_tilde itself is within 7e-17
+    assert m in (1, count_bound_states(z0) // 2, count_bound_states(z0))
+    spec = build_wavefunction(newton_solve(m, z0)[0], z0)
+    assert spec.amplitude == pytest.approx(amplitude, rel=4e-16, abs=0.0)
+    assert spec.outside_coeff == pytest.approx(outside_coeff, rel=4e-16, abs=0.0)
+    assert probability_inside(spec) == pytest.approx(p_inside, rel=4e-16, abs=0.0)
 
 
 def test_probability_inside_family_values():
